@@ -13,8 +13,8 @@ from .impurity import (ImpurityFunction, TheoryParams, builtin_impurities,
                        recommended_params)
 from .learners import minibatch_top_down, top_down_full, top_down_size_estimate
 from .local import LocalLearnerSession, estimate_size, local_learner
-from .targets import (TargetFunction, eval_target, exact_error, is_monotone,
-                      parse_target, sample_dataset)
+from .targets import (TargetFunction, exact_error, is_monotone, parse_target,
+                      sample_dataset)
 from .trees import (Tree, evaluate_tree, leaf_of, parse_tree, serialize_tree)
 
 __all__ = [
@@ -25,7 +25,7 @@ __all__ = [
     "get_impurity", "local_gain", "purity_gain", "recommended_params",
     "minibatch_top_down", "top_down_full", "top_down_size_estimate",
     "LocalLearnerSession", "estimate_size", "local_learner", "TargetFunction",
-    "eval_target", "exact_error", "is_monotone", "parse_target",
+    "exact_error", "is_monotone", "parse_target",
     "sample_dataset", "Tree", "evaluate_tree", "leaf_of", "parse_tree",
     "serialize_tree",
 ]

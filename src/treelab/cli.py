@@ -419,6 +419,29 @@ def _load_config(path: str) -> dict:
     return out
 
 
+_FLAG_VALUES = {"1": True, "true": True, "yes": True, "on": True,
+                "0": False, "false": False, "no": False, "off": False}
+
+
+def _config_value(action: argparse.Action, raw: str):
+    """A config-file value converted and checked as its flag would be."""
+    if isinstance(action, argparse._StoreTrueAction):
+        if raw.lower() not in _FLAG_VALUES:
+            raise ValueError(f"config key {action.dest}: expected a boolean, got {raw!r}")
+        return _FLAG_VALUES[raw.lower()]
+    value = raw
+    if action.type is not None:
+        try:
+            value = action.type(raw)
+        except ValueError:
+            raise ValueError(f"config key {action.dest}: invalid "
+                             f"{action.type.__name__} value {raw!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"config key {action.dest}: {value!r} is not one of "
+                         + ", ".join(map(str, action.choices)))
+    return value
+
+
 def _apply_config(sub: argparse.ArgumentParser, cfg: dict, argv: list) -> None:
     given = set()
     for tok in argv:
@@ -428,20 +451,13 @@ def _apply_config(sub: argparse.ArgumentParser, cfg: dict, argv: list) -> None:
         dest = action.dest
         if dest in ("help", "func") or dest not in cfg or dest in given:
             continue
-        raw = cfg[dest]
-        if isinstance(action, argparse._StoreTrueAction):
-            value = raw.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            value = action.type(raw)
-        else:
-            value = raw
-        sub.set_defaults(**{dest: value})
+        sub.set_defaults(**{dest: _config_value(action, cfg[dest])})
 
 
 def main(argv: Optional[list] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, sub_map = build_parser()
-    if "--config" in " ".join(argv):
+    try:
         # Apply config-file defaults to the chosen subcommand before parsing.
         path = None
         for k, tok in enumerate(argv):
@@ -452,8 +468,7 @@ def main(argv: Optional[list] = None) -> int:
         cmd = next((a for a in argv if not a.startswith("-")), None)
         if path and cmd in sub_map:
             _apply_config(sub_map[cmd], _load_config(path), argv)
-    args = parser.parse_args(argv)
-    try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except (OSError, ValueError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)

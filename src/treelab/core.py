@@ -97,12 +97,6 @@ def point_reaches(mask: int, path: LeafPath) -> bool:
     return (int(mask) & m) == v
 
 
-def extend_path(path: LeafPath, coord: int, sign: int) -> LeafPath:
-    if any(i == coord for i, _ in path):
-        raise ValueError(f"coordinate {coord} already queried on path")
-    return path + ((coord, sign),)
-
-
 def encode_path(path: LeafPath) -> str:
     """Compact text form: '.' for the root, else e.g. '3+5-' (1-based)."""
     if not path:
@@ -248,9 +242,14 @@ class RandomnessTape:
 
     master_seed: int
 
+    def __post_init__(self):
+        # The seed is hashed as 8 bytes; a wider one would alias another seed.
+        if not 0 <= self.master_seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2^64), got {self.master_seed}")
+
     def substream(self, domain: str, key: str = "") -> np.random.Generator:
         h = hashlib.blake2b(digest_size=16)
-        h.update((self.master_seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
+        h.update(self.master_seed.to_bytes(8, "little"))
         h.update(domain.encode())
         h.update(b"\x00")
         h.update(key.encode())
@@ -463,7 +462,13 @@ class StrandTracker:
         return set(self.paths)
 
     def size_estimate(self) -> float:
-        if not self.paths:
-            raise ValueError("size estimate over an empty strand set")
-        total = sum(1 << len(p) for p in self.paths)
-        return total / len(self.paths)
+        return size_from_depths(list(map(len, self.paths)))
+
+
+def size_from_depths(depths: Sequence[int]) -> float:
+    """Mean of 2^depth over the leaf depths of sample points (duplicates
+    counted), computed exactly in integers: unbiased for the leaf count when
+    the points are uniform on the cube."""
+    if len(depths) == 0:
+        raise ValueError("size estimate over an empty strand set")
+    return sum(1 << k for k in depths) / len(depths)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from .core import LabeledDataset, LabelOracle, RandomnessTape, UnlabeledDataset
-from .impurity import ImpurityFunction, depth_cap
+from .impurity import ImpurityFunction, depth_limit
 from .local import LocalLearnerSession
 
 
@@ -70,8 +70,7 @@ def estimate_learnability(t: int, b: int, dataset: UnlabeledDataset,
 def query_budget_report(oracle: LabelOracle, t: int, b: int, n_test: int) -> BudgetReport:
     """Measured label counts after an estimate run, checked against the
     budget (b + n_test) * (D+1) * b + b for unique labels."""
-    limit = depth_cap(t) if t >= 2 else 0
-    bound = (b + n_test) * (limit + 1) * b + b
+    bound = (b + n_test) * (depth_limit(t) + 1) * b + b
     if oracle.query_count > bound:
         raise BudgetError(f"unique labels {oracle.query_count} exceed budget {bound}")
     return BudgetReport(

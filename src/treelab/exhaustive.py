@@ -11,10 +11,8 @@ formulas, in deliberately plain style.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -26,22 +24,6 @@ from .targets import TargetFunction, sample_dataset
 from .trees import Split, Tree, split_leaf
 
 EXACT_TOL = 1e-12
-
-
-def worker_count() -> int:
-    """Worker cap from TREE_LAB_THREADS; 0 (the default) means sequential."""
-    raw = os.environ.get("TREE_LAB_THREADS", "0").strip() or "0"
-    return max(int(raw), 0)
-
-
-def parallel_map(fn: Callable, items: Sequence) -> List:
-    """Order-preserving map, threaded only when TREE_LAB_THREADS > 0, so the
-    reduction is deterministic either way."""
-    w = worker_count()
-    if w <= 0:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=w) as ex:
-        return list(ex.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +168,12 @@ def empirical_concentration(kind: str, cfg: ConcentrationConfig, trials: int) ->
     local gain by more than cfg.gain_tolerance.
     """
     if kind == "balance":
-        fails = parallel_map(lambda tr: _balance_failed(cfg, tr), range(trials))
+        fails = [_balance_failed(cfg, tr) for tr in range(trials)]
     elif kind == "gain-accuracy":
         if cfg.gain_tolerance is None:
             raise ValueError("gain-accuracy needs cfg.gain_tolerance")
         truth = true_local_gain(cfg.impurity, cfg.target, cfg.leaf_path, cfg.coord)
-        fails = parallel_map(lambda tr: _gain_failed(cfg, truth, tr), range(trials))
+        fails = [_gain_failed(cfg, truth, tr) for tr in range(trials)]
     else:
         raise ValueError(f"unknown concentration kind {kind!r}")
     return sum(fails) / trials

@@ -202,6 +202,12 @@ def depth_cap(t: int) -> int:
     return int(math.floor(math.log2(t) + math.log2(math.log2(t))))
 
 
+def depth_limit(t: int) -> int:
+    """Deepest leaf a size-t capped run may split: depth_cap(t), or 0 when
+    t < 2 (a size-1 run never splits)."""
+    return depth_cap(t) if t >= 2 else 0
+
+
 def strand_count_for_accuracy(max_leaf_depth: int, accuracy: float,
                               failure_prob: float) -> int:
     """Sample points needed so the 2^depth size estimator of a tree whose

@@ -1,7 +1,7 @@
 """The three global learners: full-batch greedy growth, the depth-capped
 minibatch learner, and the variant whose stopping rule is a strand-based
-size estimate.  All three share one engine; they differ only in batch
-source, depth cap, and stopping rule.
+size estimate.  They and the local learner run one engine, GrowthState.grow,
+differing only in leaf source, depth limit, stopping rule and watched leaves.
 
 Determinism contract: every split decision is a pure function of the inputs
 plus the randomness tape.  Each leaf's minibatch is drawn once, from the
@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .core import (STRAND_DOMAIN, LabeledDataset, LeafPath, Minibatch,
                    RandomnessTape, RunTrace, StrandTracker, consistent_indices,
                    draw_minibatch, path_coords)
-from .impurity import ImpurityFunction, batch_local_gains, depth_cap
+from .impurity import ImpurityFunction, batch_local_gains, depth_limit
 from .trees import Tree, tree_from_splits
 
 
@@ -71,6 +71,12 @@ def score_leaf(impurity: ImpurityFunction, batch: Minibatch, d: int):
     return int(avail[k]), float(gains[k])
 
 
+def leaf_record(impurity: ImpurityFunction, batch: Minibatch, d: int) -> LeafRecord:
+    """The scored record of the leaf a labeled batch was drawn for."""
+    coord, gain = score_leaf(impurity, batch, d)
+    return LeafRecord(batch.leaf_path, batch, coord, gain)
+
+
 def completion_label(batch: Minibatch) -> int:
     """round(mean batch label), with round(1/2) = 1; empty batch -> 0."""
     if batch.size == 0 or batch.labels is None:
@@ -79,46 +85,40 @@ def completion_label(batch: Minibatch) -> int:
 
 
 class GrowthState:
-    """Greedy growth over a labeled dataset.
-
-    `leaves` maps every current leaf path to its record; `frontier` is the
-    subset that is splittable and within the depth cap.  Cached scores never
-    go stale because each leaf's batch is fixed at creation.
+    """Greedy growth from a leaf source: `record(path)` returns a leaf's
+    scored record (from the whole dataset, a path-keyed minibatch, or
+    oracle-revealed labels).  A leaf is a split candidate when it is within
+    `depth_limit` (None: no cap) and `watch(path)` holds (None: every leaf).
+    `best` fetches each candidate's record once, after its spawn; leaves that
+    are never candidates are never fetched.  `leaves` maps every current leaf
+    to its record (None until fetched); `frontier` holds the splittable ones.
     """
 
-    def __init__(self, dataset: LabeledDataset, impurity: ImpurityFunction,
-                 tape: Optional[RandomnessTape], b: Optional[int],
-                 depth_limit: Optional[int]):
-        self.dataset = dataset
-        self.impurity = impurity
-        self.tape = tape
-        self.b = b
+    def __init__(self, d: int, record: Callable[[LeafPath], LeafRecord],
+                 depth_limit: Optional[int], watch: Optional[Callable] = None):
+        self.d = d
+        self.record = record
         self.depth_limit = depth_limit
+        self.watch = watch
         self.splits: dict = {}
-        self.leaves: dict = {}
+        self.leaves: dict = {(): None}
         self.frontier: dict = {}
         self.trace = RunTrace(depth_cap=depth_limit)
-        self._spawn(())
+        self._pending = [()]
 
     @property
     def size(self) -> int:
         return len(self.splits) + 1
 
-    def _make_batch(self, path: LeafPath) -> Minibatch:
-        if self.b is None:
-            idx = consistent_indices(self.dataset.masks, path)
-            return Minibatch(path, idx, self.dataset.masks[idx], self.dataset.labels[idx])
-        return draw_minibatch(self.dataset, path, self.b, self.tape)
-
-    def _spawn(self, path: LeafPath) -> None:
-        batch = self._make_batch(path)
-        coord, gain = score_leaf(self.impurity, batch, self.dataset.d)
-        rec = LeafRecord(path, batch, coord, gain)
-        self.leaves[path] = rec
-        if rec.splittable and (self.depth_limit is None or len(path) <= self.depth_limit):
-            self.frontier[path] = rec
-
     def best(self) -> Optional[LeafRecord]:
+        """The candidate to split next (None if none is splittable)."""
+        for path in self._pending:
+            if ((self.depth_limit is None or len(path) <= self.depth_limit)
+                    and (self.watch is None or self.watch(path))):
+                rec = self.leaves[path] = self.record(path)
+                if rec.splittable:
+                    self.frontier[path] = rec
+        self._pending.clear()
         if not self.frontier:
             return None
         return min(self.frontier.values(), key=lambda r: r.priority)
@@ -128,12 +128,33 @@ class GrowthState:
         del self.frontier[rec.path]
         del self.leaves[rec.path]
         self.splits[rec.path] = coord
-        self._spawn(rec.path + ((coord, -1),))
-        self._spawn(rec.path + ((coord, 1),))
+        for sign in (-1, 1):
+            child = rec.path + ((coord, sign),)
+            self.leaves[child] = None
+            self._pending.append(child)
+
+    def grow(self, t: int, strands: Optional[np.ndarray] = None) -> float:
+        """Split best leaves while the size is below t and return the final
+        size: the leaf count, or with `strands` (packed cube points) the mean
+        of 2^{depth of the leaf each reaches}."""
+        tracker = None if strands is None else StrandTracker(strands)
+        size = float(self.size) if tracker is None else tracker.size_estimate()
+        while size < t:
+            rec = self.best()
+            if rec is None:
+                break
+            if tracker is not None:
+                tracker.advance(rec.path, rec.best_coord)
+            self.apply(rec)
+            size = float(self.size) if tracker is None else tracker.size_estimate()
+            self.trace.append(rec.path, rec.best_coord, rec.purity_gain, size)
+        return size
 
     def complete(self) -> Tree:
-        labels = {p: completion_label(r.batch) for p, r in self.leaves.items()}
-        return tree_from_splits(self.dataset.d, self.splits, labels)
+        """The grown tree, each leaf labeled by its batch majority."""
+        labels = {p: completion_label((rec or self.record(p)).batch)
+                  for p, rec in self.leaves.items()}
+        return tree_from_splits(self.d, self.splits, labels)
 
 
 @dataclass
@@ -143,9 +164,20 @@ class TrainResult:
     growth: GrowthState
     size_estimate: Optional[float] = None
 
-    @property
-    def size(self) -> int:
-        return self.tree.size
+
+def _leaf_source(dataset: LabeledDataset, impurity: ImpurityFunction,
+                 b: Optional[int] = None, tape: Optional[RandomnessTape] = None):
+    """record(path) scoring each leaf on its path-keyed minibatch of size b,
+    or on every consistent point when b is None."""
+    def record(path: LeafPath) -> LeafRecord:
+        if b is None:
+            idx = consistent_indices(dataset.masks, path)
+            batch = Minibatch(path, idx, dataset.masks[idx], dataset.labels[idx])
+        else:
+            batch = draw_minibatch(dataset, path, b, tape)
+        return leaf_record(impurity, batch, dataset.d)
+
+    return record
 
 
 def top_down_full(t: int, dataset: LabeledDataset,
@@ -156,13 +188,8 @@ def top_down_full(t: int, dataset: LabeledDataset,
         raise ValueError(f"tree size target must be >= 1, got {t}")
     if dataset.n == 0:
         raise ValueError("full-batch learner needs a non-empty dataset")
-    g = GrowthState(dataset, impurity, tape=None, b=None, depth_limit=None)
-    while g.size < t:
-        rec = g.best()
-        if rec is None:
-            break
-        g.apply(rec)
-        g.trace.append(rec.path, rec.best_coord, rec.purity_gain, float(g.size))
+    g = GrowthState(dataset.d, _leaf_source(dataset, impurity), None)
+    g.grow(t)
     return TrainResult(g.complete(), g.trace, g)
 
 
@@ -174,14 +201,8 @@ def minibatch_top_down(t: int, b: int, dataset: LabeledDataset,
     no splittable leaf of legal depth remains).  t < 2 degenerates to the
     size-1 completion; an empty dataset yields a single leaf labeled 0."""
     t = max(int(t), 1)
-    limit = depth_cap(t) if t >= 2 else 0
-    g = GrowthState(dataset, impurity, tape=tape, b=b, depth_limit=limit)
-    while g.size < t:
-        rec = g.best()
-        if rec is None:
-            break
-        g.apply(rec)
-        g.trace.append(rec.path, rec.best_coord, rec.purity_gain, float(g.size))
+    g = GrowthState(dataset.d, _leaf_source(dataset, impurity, b, tape), depth_limit(t))
+    g.grow(t)
     return TrainResult(g.complete(), g.trace, g)
 
 
@@ -196,18 +217,8 @@ def top_down_size_estimate(t: int, b: int, dataset: LabeledDataset,
     strand_masks overrides the strand draw (diagnostics: passing the whole
     cube makes the estimate exact, so the loop stops at size t exactly)."""
     t = max(int(t), 1)
-    limit = depth_cap(t) if t >= 2 else 0
-    g = GrowthState(dataset, impurity, tape=tape, b=b, depth_limit=limit)
+    g = GrowthState(dataset.d, _leaf_source(dataset, impurity, b, tape), depth_limit(t))
     if strand_masks is None:
         strand_masks = tape.uniform_masks(dataset.d, b, STRAND_DOMAIN)
-    tracker = StrandTracker(strand_masks)
-    e = tracker.size_estimate()
-    while e < t:
-        rec = g.best()
-        if rec is None:
-            break
-        g.apply(rec)
-        tracker.advance(rec.path, rec.best_coord)
-        e = tracker.size_estimate()
-        g.trace.append(rec.path, rec.best_coord, rec.purity_gain, e)
+    e = g.grow(t, strand_masks)
     return TrainResult(g.complete(), g.trace, g, size_estimate=e)

@@ -2,11 +2,18 @@
 would assign to a point, while materializing only the strands of the
 would-be tree and labeling polylogarithmically many training points.
 
-Each iteration scores only the leaves currently holding a strand point (or
-the query point) and splits their argmax.  Leaves off the strands never
-influence the size estimate or any strand leaf's batch, so skipping them
-reproduces the global run restricted to the strands; the equivalence test
-suite is the guardrail for this argument.
+A prediction runs the global engine, GrowthState.grow, with the same depth
+limit, strands and stopping rule, watching only leaves that a strand point
+or the query point x reaches.  This is exact by construction: an unwatched
+leaf never becomes watched (no strand point or x reaches its children), and
+splitting it changes neither the size estimate e nor x's leaf, as it moves
+no strand point; records are fixed by path, so the unwatched splits the
+global run interleaves change no watched priority.  The local splits are
+thus the global splits of watched leaves, in order, stopping at the same e.
+
+Records are fetched lazily: a leaf's labels are revealed only once it is a
+split candidate (watched, within the depth limit), and for x's final leaf.
+Fetching at spawn would reveal labels of leaves that never become candidates.
 """
 
 from __future__ import annotations
@@ -16,26 +23,22 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from .core import (STRAND_DOMAIN, LabelOracle, LeafPath, Point, RandomnessTape,
-                   StrandTracker, UnlabeledDataset, draw_minibatch, sign_bit)
-from .impurity import ImpurityFunction, depth_cap
-from .learners import LeafRecord, completion_label, score_leaf
+                   UnlabeledDataset, draw_minibatch, path_constraint, point_reaches,
+                   size_from_depths)
+from .impurity import ImpurityFunction, depth_limit
+from .learners import GrowthState, LeafRecord, completion_label, leaf_record
 from .trees import Tree, leaf_depths
 
 
 def estimate_size(tree: Tree, strand_points: Sequence) -> float:
     """Mean of 2^{leaf depth} over the sample points (duplicates counted);
     unbiased for the leaf count.  Accepts Points or packed masks."""
-    if len(strand_points) == 0:
-        raise ValueError("size estimate over an empty strand set")
     if isinstance(strand_points, np.ndarray):
         masks = strand_points.astype(np.uint64)
     else:
         masks = np.array([p.mask if isinstance(p, Point) else int(p)
                           for p in strand_points], dtype=np.uint64)
-    depths = leaf_depths(tree, masks)
-    counts = np.bincount(depths)
-    total = sum(int(c) << dep for dep, c in enumerate(counts))
-    return total / len(strand_points)
+    return size_from_depths(leaf_depths(tree, masks).tolist())
 
 
 class LocalLearnerSession:
@@ -57,21 +60,17 @@ class LocalLearnerSession:
         self.oracle = oracle
         self.impurity = impurity
         self.tape = tape
-        self.depth_limit = depth_cap(self.t) if self.t >= 2 else 0
+        self.depth_limit = depth_limit(self.t)
         self.strand_masks = tape.uniform_masks(dataset.d, b, STRAND_DOMAIN)
         self._records: dict = {}
         self.split_choices: dict = {}
         self.last_trace: List[tuple] = []
 
     def _record(self, path: LeafPath) -> LeafRecord:
-        rec = self._records.get(path)
-        if rec is None:
-            raw = draw_minibatch(self.dataset, path, self.b, self.tape)
-            batch = self.oracle.reveal_batch(raw)
-            coord, gain = score_leaf(self.impurity, batch, self.dataset.d)
-            rec = LeafRecord(path, batch, coord, gain)
-            self._records[path] = rec
-        return rec
+        if path not in self._records:
+            batch = self.oracle.reveal_batch(draw_minibatch(self.dataset, path, self.b, self.tape))
+            self._records[path] = leaf_record(self.impurity, batch, self.dataset.d)
+        return self._records[path]
 
     def predict(self, x: Union[Point, int]) -> int:
         """Label of the query point under the would-be global tree."""
@@ -82,30 +81,18 @@ class LocalLearnerSession:
             x_mask = x.mask
         else:
             x_mask = int(x)
-        tracker = StrandTracker(self.strand_masks)
-        x_path: LeafPath = ()
-        e = tracker.size_estimate()
-        trace: List[tuple] = []
-        while e < self.t:
-            pool = tracker.distinct_paths()
-            pool.add(x_path)
-            candidates = [
-                rec for p in pool if len(p) <= self.depth_limit
-                for rec in (self._record(p),) if rec.splittable
-            ]
-            if not candidates:
-                break
-            best = min(candidates, key=lambda r: r.priority)
-            coord = best.best_coord
-            self.split_choices[best.path] = coord
-            tracker.advance(best.path, coord)
-            if x_path == best.path:
-                x_path = x_path + ((coord, sign_bit(x_mask, coord)),)
-            e = tracker.size_estimate()
-            trace.append((best.path, coord, e))
-        self.last_trace = trace
-        final = self._record(x_path)
-        return completion_label(final.batch)
+        strands = self.strand_masks
+
+        def watch(path: LeafPath) -> bool:
+            m, v = path_constraint(path)
+            return (x_mask & m) == v or bool(np.any((strands & np.uint64(m)) == np.uint64(v)))
+
+        g = GrowthState(self.dataset.d, self._record, self.depth_limit, watch)
+        g.grow(self.t, strands)
+        self.split_choices.update(g.splits)
+        self.last_trace = [(e.path, e.coord, e.size_estimate) for e in g.trace]
+        x_leaf = next(p for p in g.leaves if point_reaches(x_mask, p))
+        return completion_label(self._record(x_leaf).batch)
 
 
 def local_learner(t: int, b: int, dataset: UnlabeledDataset, oracle: LabelOracle,

@@ -18,17 +18,6 @@ from .impurity import _check_exhaustive
 from .trees import Tree, evaluate_masks, parse_tree, random_partial_tree, relabel
 
 
-def _popcount(masks: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(masks).astype(np.int64)
-    out = np.zeros(len(masks), dtype=np.int64)
-    work = masks.copy()
-    while np.any(work):
-        out += (work & np.uint64(1)).astype(np.int64)
-        work >>= np.uint64(1)
-    return out
-
-
 class TargetFunction:
     """Boolean function {-1,+1}^d -> {0,1}, evaluable on packed masks."""
 
@@ -65,7 +54,7 @@ class Majority(TargetFunction):
     d: int
 
     def eval_masks(self, masks):
-        return (_popcount(np.asarray(masks, np.uint64)) * 2 > self.d).astype(np.uint8)
+        return (np.bitwise_count(np.asarray(masks, np.uint64)) * 2 > self.d).astype(np.uint8)
 
 
 @dataclass
@@ -137,7 +126,7 @@ class Xor(TargetFunction):
 
     def eval_masks(self, masks):
         masks = np.asarray(masks, np.uint64)
-        return (_popcount(masks & self._sel) & 1).astype(np.uint8)
+        return (np.bitwise_count(masks & self._sel) & 1).astype(np.uint8)
 
 
 @dataclass
@@ -169,10 +158,6 @@ class TruthTable(TargetFunction):
 
     def eval_masks(self, masks):
         return self.table[np.asarray(masks, np.int64)]
-
-
-def eval_target(target: TargetFunction, x: Point) -> int:
-    return target(x)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-from .core import LeafPath, Point, sign_bit
+from .core import LeafPath, Point, path_coords, sign_bit
 
 
 @dataclass(frozen=True)
@@ -224,7 +224,7 @@ def random_partial_tree(rng: np.random.Generator, d: int, n_leaves: int,
         if not eligible:
             break
         k, path = eligible[int(rng.integers(len(eligible)))]
-        free = [i for i in range(d) if i not in path_coords_set(path)]
+        free = [i for i in range(d) if i not in path_coords(path)]
         coord = int(free[int(rng.integers(len(free)))])
         splits[path] = coord
         frontier.pop(k)
@@ -232,10 +232,6 @@ def random_partial_tree(rng: np.random.Generator, d: int, n_leaves: int,
         leaves += 1
     labels = {p: None for p in frontier}
     return tree_from_splits(d, splits, labels)
-
-
-def path_coords_set(path: LeafPath) -> set:
-    return {i for i, _ in path}
 
 
 # ---------------------------------------------------------------------------

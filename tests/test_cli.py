@@ -189,3 +189,31 @@ class TestConfigAndErrors:
                                "--config", str(cfg), "--out-tree", str(tree_file))
         assert code == 0
         assert parse_tree(tree_file.read_text(), 10).size <= 4
+
+    @pytest.mark.parametrize("argv, text, expected", [
+        (["train", "--t", "8"], "algo = bogus\n", "config key algo: 'bogus'"),
+        (["sweep", "--values", "8", "--target", "majority", "--d", "5"],
+         "vary = bogus\n", "config key vary: 'bogus'"),
+        (["train", "--algo", "full"], "t = abc\n", "config key t: invalid int"),
+        (["train", "--t", "8"], "machine = maybe\n", "config key machine"),
+        (["train", "--t", "8"], "b 16\n", "'b 16'"),
+    ])
+    def test_bad_config_values_are_errors(self, workdir, capsys, argv, text, expected):
+        cfg = workdir["tmp"] / "bad.cfg"
+        cfg.write_text(text)
+        if argv[0] == "train":
+            argv = argv + ["--data", str(workdir["labeled"])]
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and expected in err
+
+    def test_missing_config_file_is_an_error(self, workdir, capsys):
+        code, _, err = run_cli(capsys, "train", "--t", "8", "--data",
+                               str(workdir["labeled"]), "--config", "/nonexistent/run.cfg")
+        assert code == 1 and err.startswith("error: ") and "/nonexistent/run.cfg" in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_out_of_range_seed_is_an_error(self, workdir, capsys, seed):
+        code, out, err = run_cli(capsys, "train", "--t", "8", "--seed", seed,
+                                 "--data", str(workdir["labeled"]))
+        assert code == 1 and out == "" and err.startswith("error: ") and "seed" in err

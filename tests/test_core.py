@@ -87,6 +87,14 @@ class TestTape:
         masks = RandomnessTape(0).uniform_masks(5, 1000, "r")
         assert masks.max() < 32
 
+    def test_seed_outside_64_bits_rejected(self):
+        # Seeds are hashed as 8 bytes; wider ones would alias a seed in range.
+        for bad in (-1, 2 ** 64, 5 + 2 ** 64):
+            with pytest.raises(ValueError):
+                RandomnessTape(bad)
+        top = RandomnessTape(2 ** 64 - 1).uniform_masks(8, 10, "r")
+        assert not np.array_equal(top, RandomnessTape(0).uniform_masks(8, 10, "r"))
+
 
 def _dataset(seed=0, d=6, n=100):
     rng = np.random.default_rng(seed)

@@ -5,7 +5,7 @@ from treelab.core import Minibatch, RunTrace
 from treelab.exhaustive import (ConcentrationConfig, check_shallow_splits,
                                 check_telescoping, empirical_concentration,
                                 evaluate_tree_reference, exact_size_expectation,
-                                local_gain_reference, parallel_map, worker_count)
+                                local_gain_reference)
 from treelab.impurity import GINI, builtin_impurities
 from treelab.targets import Dictator, random_truth_table
 from treelab.trees import Leaf, Split, Tree, leaf_paths, random_partial_tree
@@ -117,23 +117,3 @@ class TestConcentration:
             empirical_concentration("gain-accuracy",
                                     self._config(gain_tolerance=None), 10)
 
-
-class TestParallelMap:
-    def test_sequential_default(self, monkeypatch):
-        monkeypatch.delenv("TREE_LAB_THREADS", raising=False)
-        assert worker_count() == 0
-        assert parallel_map(lambda x: x * x, range(5)) == [0, 1, 4, 9, 16]
-
-    def test_threaded_matches_sequential(self, monkeypatch):
-        seq = parallel_map(lambda x: x * 3, range(20))
-        monkeypatch.setenv("TREE_LAB_THREADS", "4")
-        assert worker_count() == 4
-        assert parallel_map(lambda x: x * 3, range(20)) == seq
-
-    def test_threaded_concentration_identical(self, monkeypatch):
-        cfg = ConcentrationConfig(target=Dictator(8, 0), impurity=GINI,
-                                  leaf_path=(), coord=0, b=64, n=128, seed=3,
-                                  gain_tolerance=0.3)
-        seq = empirical_concentration("gain-accuracy", cfg, trials=40)
-        monkeypatch.setenv("TREE_LAB_THREADS", "3")
-        assert empirical_concentration("gain-accuracy", cfg, trials=40) == seq

@@ -66,10 +66,14 @@ class TestLocalLearner:
         assert got == evaluate_masks(glob.tree, np.array([5], np.uint64))[0]
 
     def test_agrees_with_global_tree_everywhere(self):
-        for seed in range(3):
+        # t in {1, 2} stops at or right after the root; b <= 4 makes most
+        # gain estimates tie, so the path and coordinate tie-breaks decide.
+        cases = [(seed, 32, 64) for seed in range(3)] + [(3, 1, 64), (4, 2, 64),
+                                                         (10, 32, 4), (11, 16, 2)]
+        for seed, t, b in cases:
             target, tape, labeled, oracle = _setup(seed)
-            glob = top_down_size_estimate(32, 64, labeled, GINI, tape)
-            session = LocalLearnerSession(32, 64, labeled.unlabeled(), oracle,
+            glob = top_down_size_estimate(t, b, labeled, GINI, tape)
+            session = LocalLearnerSession(t, b, labeled.unlabeled(), oracle,
                                           GINI, tape)
             xs = tape.uniform_masks(12, 100, "probe")
             want = evaluate_masks(glob.tree, xs)

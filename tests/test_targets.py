@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from treelab.core import Point, RandomnessTape
 from treelab.targets import (Dictator, ExplicitTree, Majority, ReadOnceDNF,
-                             Tribes, TruthTable, Xor, eval_target, exact_error,
+                             Tribes, TruthTable, Xor, exact_error,
                              is_monotone, monte_carlo_error, parse_target,
                              random_monotone_tree_target, random_truth_table,
                              sample_dataset, sample_product_masks)
@@ -15,8 +15,8 @@ from treelab.trees import Leaf, Tree, evaluate_tree, serialize_tree
 class TestEvaluation:
     def test_dictator(self):
         f = Dictator(4, 0)
-        assert eval_target(f, Point.from_signs([1, -1, -1, -1])) == 1
-        assert eval_target(f, Point.from_signs([-1, 1, 1, 1])) == 0
+        assert f(Point.from_signs([1, -1, -1, -1])) == 1
+        assert f(Point.from_signs([-1, 1, 1, 1])) == 0
 
     def test_majority(self):
         f = Majority(3)
