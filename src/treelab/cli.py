@@ -467,7 +467,13 @@ def main(argv: Optional[list] = None) -> int:
                 path = tok.split("=", 1)[1]
         cmd = next((a for a in argv if not a.startswith("-")), None)
         if path and cmd in sub_map:
-            _apply_config(sub_map[cmd], _load_config(path), argv)
+            cfg = _load_config(path)
+            known = {a.dest for sub in sub_map.values() for a in sub._actions
+                     if a.dest not in ("help", "config")}
+            unknown = [key for key in cfg if key not in known]
+            if unknown:
+                raise ValueError(f"unknown config key {unknown[0]!r}")
+            _apply_config(sub_map[cmd], cfg, argv)
         args = parser.parse_args(argv)
         return args.func(args)
     except (OSError, ValueError, BudgetError) as exc:

@@ -217,6 +217,8 @@ def read_dataset(fp: IO[str]) -> AnyDataset:
             if y not in (0, 1):
                 raise ValueError(f"row {row}: label {y} not in {{0,1}}")
             labels[row] = y
+    if fp.read().strip():
+        raise ValueError(f"content after the {n} rows the header declares")
     if labeled is None:
         labeled = False
     if labeled:

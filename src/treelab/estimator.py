@@ -44,8 +44,9 @@ def estimate_learnability(t: int, b: int, dataset: UnlabeledDataset,
 
     All per-point runs share the tape, the oracle's label cache, and the
     session's strand forest, so the result equals the error of the single
-    global tree grown under the same tape, and the first point pays for the
-    shared forest while later points only extend their own strand.
+    global tree grown under the same tape.  The first point grows the shared
+    forest; every point then only walks it, fetching the leaves of its own
+    path off the strands.
     """
     if test_set.n == 0:
         raise ValueError("test set must be non-empty")

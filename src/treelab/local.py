@@ -2,18 +2,30 @@
 would assign to a point, while materializing only the strands of the
 would-be tree and labeling polylogarithmically many training points.
 
-A prediction runs the global engine, GrowthState.grow, with the same depth
-limit, strands and stopping rule, watching only leaves that a strand point
-or the query point x reaches.  This is exact by construction: an unwatched
-leaf never becomes watched (no strand point or x reaches its children), and
-splitting it changes neither the size estimate e nor x's leaf, as it moves
-no strand point; records are fixed by path, so the unwatched splits the
-global run interleaves change no watched priority.  The local splits are
-thus the global splits of watched leaves, in order, stopping at the same e.
+A session runs the global engine, GrowthState.grow, once, with the same
+depth limit, strands and stopping rule, watching only leaves a strand point
+reaches: the strand forest.  It records each step's split, the priority of
+the chosen record and the running size estimate e, and whether growth
+stopped at e >= t or ran out of candidates.  Each query x then walks it:
+
+- x follows the forest's splits from the root.  If it ends on a
+  strand-reached leaf, that leaf is x's leaf in the global tree.
+- Otherwise x's leaf L is off-strand, spawned at forest step k.  At each
+  later step j, the global run splits L first when L is a candidate (within
+  the depth limit, splittable) whose priority beats priority_j; x then moves
+  to its child, which is checked against the same step.  If the forest ran
+  out of candidates while e < t, x's leaf splits while it is a candidate.
+
+This is exact.  The forest does not depend on x.  Splitting an off-strand
+leaf moves no strand point, so e does not change and the run continues.
+Records are fixed by path, so the unwatched splits of the global run change
+no watched priority, and x's splits change no strand leaf.  The walk's
+splits are thus the global splits of leaves x reaches, in order.
 
 Records are fetched lazily: a leaf's labels are revealed only once it is a
-split candidate (watched, within the depth limit), and for x's final leaf.
-Fetching at spawn would reveal labels of leaves that never become candidates.
+split candidate (strand-reached or x's leaf, within the depth limit), and
+for x's final leaf.  Fetching at spawn would reveal labels of leaves that
+never become candidates.
 """
 
 from __future__ import annotations
@@ -23,7 +35,7 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from .core import (STRAND_DOMAIN, LabelOracle, LeafPath, Point, RandomnessTape,
-                   UnlabeledDataset, draw_minibatch, path_constraint, point_reaches,
+                   UnlabeledDataset, draw_minibatch, path_constraint, sign_bit,
                    size_from_depths)
 from .impurity import ImpurityFunction, depth_limit
 from .learners import GrowthState, LeafRecord, completion_label, leaf_record
@@ -44,9 +56,9 @@ def estimate_size(tree: Tree, strand_points: Sequence) -> float:
 class LocalLearnerSession:
     """Shared-randomness local learner, reusable across many query points.
 
-    Batches, scores, and revealed labels are cached per leaf path, so the
-    strand forest is grown once: a later query point only extends its own
-    strand and reads cached split decisions.
+    The first prediction grows the strand forest; every prediction, the
+    first included, then walks it.  Records are cached per leaf path, so a
+    later point only fetches the leaves of its own path off the strands.
     """
 
     def __init__(self, t: int, b: int, dataset: UnlabeledDataset,
@@ -63,6 +75,7 @@ class LocalLearnerSession:
         self.depth_limit = depth_limit(self.t)
         self.strand_masks = tape.uniform_masks(dataset.d, b, STRAND_DOMAIN)
         self._records: dict = {}
+        self._splits = None
         self.split_choices: dict = {}
         self.last_trace: List[tuple] = []
 
@@ -71,6 +84,23 @@ class LocalLearnerSession:
             batch = self.oracle.reveal_batch(draw_minibatch(self.dataset, path, self.b, self.tape))
             self._records[path] = leaf_record(self.impurity, batch, self.dataset.d)
         return self._records[path]
+
+    def _grow_forest(self) -> None:
+        strands = self.strand_masks
+
+        def watch(path: LeafPath) -> bool:
+            m, v = path_constraint(path)
+            return bool(np.any((strands & np.uint64(m)) == np.uint64(v)))
+
+        g = GrowthState(self.dataset.d, self._record, self.depth_limit, watch)
+        self._exhausted = g.grow(self.t, strands) < self.t
+        # Keep plain data, not g: g holds self._record, and that cycle would
+        # keep the record cache alive until a garbage collection.
+        self._splits = {e.path: (e.coord, e.j) for e in g.trace}
+        self._steps = [(e.path, e.coord, e.size_estimate) for e in g.trace]
+        self._priorities = [self._records[e.path].priority for e in g.trace]
+        self._strand_leaves = {p for p in g.leaves if watch(p)}
+        self.split_choices.update(g.splits)
 
     def predict(self, x: Union[Point, int]) -> int:
         """Label of the query point under the would-be global tree."""
@@ -81,18 +111,30 @@ class LocalLearnerSession:
             x_mask = x.mask
         else:
             x_mask = int(x)
-        strands = self.strand_masks
-
-        def watch(path: LeafPath) -> bool:
-            m, v = path_constraint(path)
-            return (x_mask & m) == v or bool(np.any((strands & np.uint64(m)) == np.uint64(v)))
-
-        g = GrowthState(self.dataset.d, self._record, self.depth_limit, watch)
-        g.grow(self.t, strands)
-        self.split_choices.update(g.splits)
-        self.last_trace = [(e.path, e.coord, e.size_estimate) for e in g.trace]
-        x_leaf = next(p for p in g.leaves if point_reaches(x_mask, p))
-        return completion_label(self._record(x_leaf).batch)
+        if self._splits is None:
+            self._grow_forest()
+        steps, leaf, j = self._steps, (), 0
+        while leaf in self._splits:
+            coord, j = self._splits[leaf]
+            leaf += ((coord, sign_bit(x_mask, coord)),)
+        # Forest steps 1..j are done; x's leaf splits before step j+1 when
+        # it beats that step's priority, or once the forest is exhausted.  A
+        # strand leaf is never a candidate then, or the forest would split it.
+        if leaf in self._strand_leaves:
+            j = len(steps)
+        trace = steps[:j]
+        while len(leaf) <= self.depth_limit and self._record(leaf).splittable:
+            rec = self._record(leaf)
+            while j < len(steps) and self._priorities[j] < rec.priority:
+                trace.append(steps[j])
+                j += 1
+            if j == len(steps) and not self._exhausted:
+                break
+            trace.append((leaf, rec.best_coord, steps[j - 1][2]))
+            self.split_choices[leaf] = rec.best_coord
+            leaf += ((rec.best_coord, sign_bit(x_mask, rec.best_coord)),)
+        self.last_trace = trace + steps[j:]
+        return completion_label(self._record(leaf).batch)
 
 
 def local_learner(t: int, b: int, dataset: UnlabeledDataset, oracle: LabelOracle,

@@ -207,6 +207,30 @@ class TestConfigAndErrors:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and expected in err
 
+    @pytest.mark.parametrize("text, key", [
+        ("tt = 4\nimpurty = entropy\n", "tt"),
+        ("b = 16\nimpurty = entropy\n", "impurty"),
+        ("slack-bb = 2\n", "slack_bb"),
+        ("help = 1\n", "help"),
+        ("config = other.cfg\n", "config"),
+    ])
+    def test_unknown_config_keys_are_errors(self, workdir, capsys, text, key):
+        cfg = workdir["tmp"] / "typo.cfg"
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, "train", "--t", "8", "--data",
+                                 str(workdir["labeled"]), "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err == f"error: unknown config key {key!r}\n"
+
+    def test_config_keys_of_other_subcommands_allowed(self, workdir, capsys):
+        # One config file serves every subcommand: vary (sweep), x
+        # (local-predict) and m (size-estimate) are not options of train.
+        cfg = workdir["tmp"] / "shared.cfg"
+        cfg.write_text("t = 4\nvary = b\nx = +-+\nm = 16\n")
+        code, out, _ = run_cli(capsys, "train", "--data", str(workdir["labeled"]),
+                               "--config", str(cfg))
+        assert code == 0 and out.startswith("size=")
+
     def test_missing_config_file_is_an_error(self, workdir, capsys):
         code, _, err = run_cli(capsys, "train", "--t", "8", "--data",
                                str(workdir["labeled"]), "--config", "/nonexistent/run.cfg")

@@ -191,6 +191,15 @@ class TestDatasetIO:
         with pytest.raises(ValueError):
             read_dataset(io.StringIO("oops\n"))
 
+    @pytest.mark.parametrize("tail", ["GARBAGE\n", "1 1 0\n", "\n1 1 0", "  x"])
+    def test_rejects_content_after_declared_rows(self, tail):
+        with pytest.raises(ValueError, match="after the 2 rows"):
+            read_dataset(io.StringIO("2 2\n1 -1 1\n-1 1 0\n" + tail))
+
+    def test_trailing_blank_lines_accepted(self):
+        back = read_dataset(io.StringIO("2 2\n1 -1 1\n-1 1 0\n\n  \n\t\n"))
+        assert back.n == 2 and list(back.labels) == [1, 0]
+
 
 class TestLabelOracle:
     def test_count_equals_distinct_revealed(self):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import monotone_target
-from treelab.core import LabelOracle, Point, RandomnessTape
+from treelab.core import LabelOracle, Point, RandomnessTape, path_constraint
 from treelab.exhaustive import exact_size_expectation
 from treelab.impurity import GINI, depth_cap
-from treelab.learners import top_down_size_estimate
+from treelab.learners import GrowthState, top_down_size_estimate
 from treelab.local import LocalLearnerSession, estimate_size, local_learner
 from treelab.targets import Majority, sample_dataset
 from treelab.trees import Leaf, Split, Tree, evaluate_masks, random_partial_tree
@@ -167,3 +169,48 @@ class TestLocalLearner:
         xs = tape.uniform_masks(12, 50, "probe")
         got = np.array([session.predict(int(m)) for m in xs])
         assert np.array_equal(got, evaluate_masks(glob.tree, xs))
+
+
+class TestForestWalk:
+    @given(st.integers(0, 10 ** 6), st.integers(1, 64), st.integers(2, 64),
+           st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_every_query_matches_global_tree_and_trace(self, seed, t, b, majority):
+        # Each query walks the shared forest, so every one of them, not only
+        # the first, must reproduce the global tree and its restricted trace.
+        d = 10
+        target = Majority(d) if majority else monotone_target(seed, d=d)
+        tape = RandomnessTape(seed)
+        labeled = sample_dataset(target, 2048, tape)
+        oracle = LabelOracle(target, labeled.unlabeled())
+        glob = top_down_size_estimate(t, b, labeled, GINI, tape)
+        session = LocalLearnerSession(t, b, labeled.unlabeled(), oracle, GINI, tape)
+        steps = [(e.path, e.coord, e.size_estimate) for e in glob.trace]
+        masks = [path_constraint(path) for path, _, _ in steps]
+        on_strand = [bool(np.any((session.strand_masks & np.uint64(m)) == np.uint64(v)))
+                     for m, v in masks]
+        xs = tape.uniform_masks(d, 20, "probe")
+        reached = set()
+        for x, want in zip(xs, evaluate_masks(glob.tree, xs)):
+            x = int(x)
+            assert session.predict(x) == want
+            assert session.last_trace == [
+                step for step, (m, v), strand in zip(steps, masks, on_strand)
+                if strand or (x & m) == v]
+            reached.update(path for path, _, _ in session.last_trace)
+        assert session.split_choices == {p: glob.growth.splits[p] for p in reached}
+
+    def test_forest_grows_once_per_session(self, monkeypatch):
+        grown = []
+        grow = GrowthState.grow
+
+        def counting_grow(self, *args, **kwargs):
+            grown.append(self)
+            return grow(self, *args, **kwargs)
+
+        monkeypatch.setattr(GrowthState, "grow", counting_grow)
+        target, tape, labeled, oracle = _setup(7)
+        session = LocalLearnerSession(32, 64, labeled.unlabeled(), oracle, GINI, tape)
+        for m in tape.uniform_masks(12, 50, "probe"):
+            session.predict(int(m))
+        assert len(grown) == 1
