@@ -425,7 +425,7 @@ _FLAG_VALUES = {"1": True, "true": True, "yes": True, "on": True,
 
 def _config_value(action: argparse.Action, raw: str):
     """A config-file value converted and checked as its flag would be."""
-    if isinstance(action, argparse._StoreTrueAction):
+    if action.nargs == 0:  # an on/off flag
         if raw.lower() not in _FLAG_VALUES:
             raise ValueError(f"config key {action.dest}: expected a boolean, got {raw!r}")
         return _FLAG_VALUES[raw.lower()]
@@ -442,39 +442,35 @@ def _config_value(action: argparse.Action, raw: str):
     return value
 
 
-def _apply_config(sub: argparse.ArgumentParser, cfg: dict, argv: list) -> None:
-    given = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            given.add(tok[2:].split("=", 1)[0].replace("-", "_"))
-    for action in sub._actions:
-        dest = action.dest
-        if dest in ("help", "func") or dest not in cfg or dest in given:
-            continue
-        sub.set_defaults(**{dest: _config_value(action, cfg[dest])})
+_UNSET = object()
+
+
+def _apply_config(parser: argparse.ArgumentParser, sub: argparse.ArgumentParser,
+                  cfg: dict, argv: list) -> None:
+    """Make the config values the subcommand's defaults, except for options
+    the command line gives.  Which those are comes from argparse's own parse
+    with the config keys' defaults unset, so abbreviated flags count too."""
+    actions = {a.dest: a for a in sub._actions if a.dest in cfg}
+    sub.set_defaults(**dict.fromkeys(actions, _UNSET))
+    given = vars(parser.parse_args(argv))
+    sub.set_defaults(**{dest: _config_value(action, cfg[dest])
+                        for dest, action in actions.items() if given[dest] is _UNSET})
 
 
 def main(argv: Optional[list] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, sub_map = build_parser()
     try:
-        # Apply config-file defaults to the chosen subcommand before parsing.
-        path = None
-        for k, tok in enumerate(argv):
-            if tok == "--config" and k + 1 < len(argv):
-                path = argv[k + 1]
-            elif tok.startswith("--config="):
-                path = tok.split("=", 1)[1]
-        cmd = next((a for a in argv if not a.startswith("-")), None)
-        if path and cmd in sub_map:
-            cfg = _load_config(path)
+        args = parser.parse_args(argv)
+        if args.config:
+            cfg = _load_config(args.config)
             known = {a.dest for sub in sub_map.values() for a in sub._actions
                      if a.dest not in ("help", "config")}
             unknown = [key for key in cfg if key not in known]
             if unknown:
                 raise ValueError(f"unknown config key {unknown[0]!r}")
-            _apply_config(sub_map[cmd], cfg, argv)
-        args = parser.parse_args(argv)
+            _apply_config(parser, sub_map[args.command], cfg, argv)
+            args = parser.parse_args(argv)
         return args.func(args)
     except (OSError, ValueError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -285,10 +285,43 @@ class Minibatch:
 
 
 def consistent_indices(masks: np.ndarray, path: LeafPath) -> np.ndarray:
-    """Ascending dataset indices of points consistent with the leaf path."""
+    """Ascending positions in `masks` of the points consistent with the leaf
+    path, in one scan of `masks` (LeafPools passes a parent pool's masks)."""
     m, v = path_constraint(path)
     hit = (masks & np.uint64(m)) == np.uint64(v)
     return np.flatnonzero(hit)
+
+
+class LeafPools:
+    """Leaf pools: the ascending dataset indices of the points reaching each
+    requested leaf, filtered from the nearest kept ancestor's pool, so a tree
+    costs O(n*depth) scanned points, not O(n*leaves).  Depth-0/1 leaves scan
+    the dataset and the root's pool is never kept; a parent's pool is dropped
+    once both children have theirs, and a leaf is kept only when first
+    served.  Indices are int32 when n < 2^31, else int64."""
+
+    def __init__(self, masks: np.ndarray):
+        self.masks = masks
+        self._dtype = np.int32 if len(masks) < 1 << 31 else np.int64
+        self._pools: dict = {}
+        self._served: set = set()
+
+    def __call__(self, path: LeafPath) -> np.ndarray:
+        base = path[:-1]
+        while base and base not in self._pools:
+            base = base[:-1]
+        if base:
+            parent = self._pools[base]
+            pool = parent[consistent_indices(self.masks[parent], path)]
+        else:
+            pool = consistent_indices(self.masks, path).astype(self._dtype)
+        if path and path not in self._served:
+            self._served.add(path)
+            self._pools[path] = pool
+            (coord, sign), parent_path = path[-1], path[:-1]
+            if parent_path + ((coord, -sign),) in self._served:
+                self._pools.pop(parent_path, None)
+        return pool
 
 
 def _partial_shuffle_take(rng: np.random.Generator, pool: np.ndarray, k: int) -> np.ndarray:
@@ -308,16 +341,19 @@ def draw_minibatch(
     b: int,
     tape: RandomnessTape,
     domain: str = BATCH_DOMAIN,
+    pool: Optional[np.ndarray] = None,
 ) -> Minibatch:
     """Uniform without-replacement draw of b consistent entries.
 
     If fewer than b entries are consistent with the leaf, all of them are
     returned (in ascending dataset order).  The draw is a pure function of
-    (dataset, leaf_path, b, tape.master_seed, domain).
+    (dataset, leaf_path, b, tape.master_seed, domain).  `pool`, if given, is
+    the leaf's ascending pool (see LeafPools); else the dataset is scanned.
     """
     if b < 1:
         raise ValueError(f"batch size must be >= 1, got {b}")
-    pool = consistent_indices(dataset.masks, leaf_path)
+    if pool is None:
+        pool = consistent_indices(dataset.masks, leaf_path)
     if len(pool) > b:
         rng = tape.substream(domain, encode_path(leaf_path))
         idx = _partial_shuffle_take(rng, pool, b)

@@ -103,18 +103,20 @@ def batch_local_gains(impurity: ImpurityFunction, masks: np.ndarray,
     g(mean y | x_i=+1)) / 2 with means over the batch.  A coordinate that is
     constant over the batch gets gain 0 (its true gain over the leaf is 0).
 
-    Counting is pure integer arithmetic (no BLAS reductions), so the means
-    and hence the split decisions are bit-identical across platforms.
+    Labels are in {0, 1}.  Counting is pure integer arithmetic on a k x d
+    uint8 bit matrix unpacked from the masks' low ceil(d/8) bytes (no BLAS
+    reductions), so the means and hence the split decisions are
+    bit-identical across platforms.  Mask bits at or above d are ignored.
     """
     k = len(masks)
     if k == 0:
         raise ValueError("local gain of an empty batch")
-    bits = ((np.asarray(masks, np.uint64)[:, None] >> np.arange(d, dtype=np.uint64))
-            & np.uint64(1)).astype(np.int64)
+    low = np.ascontiguousarray(masks, "<u8").view(np.uint8).reshape(k, 8)[:, :(d + 7) // 8]
+    bits = np.unpackbits(low, axis=1, count=d, bitorder="little")
     y = np.asarray(labels, np.int64)
-    n_pos = bits.sum(axis=0)
+    n_pos = bits.sum(axis=0, dtype=np.int64)
     n_neg = k - n_pos
-    s_pos = (bits * y[:, None]).sum(axis=0)
+    s_pos = bits[y == 1].sum(axis=0, dtype=np.int64)
     ones = int(y.sum())
     s_neg = ones - s_pos
     p_pos = np.divide(s_pos, n_pos, out=np.zeros(d), where=n_pos > 0)

@@ -21,8 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (STRAND_DOMAIN, LabeledDataset, LeafPath, Minibatch,
-                   RandomnessTape, RunTrace, StrandTracker, consistent_indices,
+from .core import (STRAND_DOMAIN, LabeledDataset, LeafPath, LeafPools,
+                   Minibatch, RandomnessTape, RunTrace, StrandTracker,
                    draw_minibatch, path_coords)
 from .impurity import ImpurityFunction, batch_local_gains, depth_limit
 from .trees import Tree, tree_from_splits
@@ -169,12 +169,14 @@ def _leaf_source(dataset: LabeledDataset, impurity: ImpurityFunction,
                  b: Optional[int] = None, tape: Optional[RandomnessTape] = None):
     """record(path) scoring each leaf on its path-keyed minibatch of size b,
     or on every consistent point when b is None."""
+    pools = LeafPools(dataset.masks)
+
     def record(path: LeafPath) -> LeafRecord:
         if b is None:
-            idx = consistent_indices(dataset.masks, path)
+            idx = pools(path)
             batch = Minibatch(path, idx, dataset.masks[idx], dataset.labels[idx])
         else:
-            batch = draw_minibatch(dataset, path, b, tape)
+            batch = draw_minibatch(dataset, path, b, tape, pool=pools(path))
         return leaf_record(impurity, batch, dataset.d)
 
     return record

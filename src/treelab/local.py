@@ -34,9 +34,9 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
-from .core import (STRAND_DOMAIN, LabelOracle, LeafPath, Point, RandomnessTape,
-                   UnlabeledDataset, draw_minibatch, path_constraint, sign_bit,
-                   size_from_depths)
+from .core import (STRAND_DOMAIN, LabelOracle, LeafPath, LeafPools, Point,
+                   RandomnessTape, UnlabeledDataset, draw_minibatch,
+                   path_constraint, sign_bit, size_from_depths)
 from .impurity import ImpurityFunction, depth_limit
 from .learners import GrowthState, LeafRecord, completion_label, leaf_record
 from .trees import Tree, leaf_depths
@@ -75,13 +75,15 @@ class LocalLearnerSession:
         self.depth_limit = depth_limit(self.t)
         self.strand_masks = tape.uniform_masks(dataset.d, b, STRAND_DOMAIN)
         self._records: dict = {}
+        self._pools = LeafPools(dataset.masks)
         self._splits = None
         self.split_choices: dict = {}
         self.last_trace: List[tuple] = []
 
     def _record(self, path: LeafPath) -> LeafRecord:
         if path not in self._records:
-            batch = self.oracle.reveal_batch(draw_minibatch(self.dataset, path, self.b, self.tape))
+            batch = self.oracle.reveal_batch(draw_minibatch(
+                self.dataset, path, self.b, self.tape, pool=self._pools(path)))
             self._records[path] = leaf_record(self.impurity, batch, self.dataset.d)
         return self._records[path]
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import treelab
 from treelab.core import LabeledDataset, RandomnessTape
 from treelab.targets import ReadOnceDNF, random_monotone_tree_target
 
@@ -26,3 +27,20 @@ def monotone_target(seed: int, d: int, n_leaves: int = 24, max_depth: int = 8):
     rng = np.random.default_rng(seed)
     return random_monotone_tree_target(rng, d=d, n_leaves=n_leaves,
                                        max_depth=max_depth)
+
+
+@pytest.fixture
+def points_scanned(monkeypatch):
+    """Running total of the points that consistent_indices scans, counted
+    wherever a treelab module binds it."""
+    total = [0]
+    scan = treelab.core.consistent_indices
+
+    def counted(masks, path):
+        total[0] += len(masks)
+        return scan(masks, path)
+
+    for module in (treelab.core, treelab.learners, treelab.local):
+        if hasattr(module, "consistent_indices"):
+            monkeypatch.setattr(module, "consistent_indices", counted)
+    return total

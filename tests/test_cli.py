@@ -207,6 +207,23 @@ class TestConfigAndErrors:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and expected in err
 
+    @pytest.mark.parametrize("flag", ["--algo", "--al"])
+    def test_given_flag_skips_its_config_value_even_abbreviated(self, workdir,
+                                                                 capsys, flag):
+        cfg = workdir["tmp"] / "algo.cfg"
+        cfg.write_text("algo = nope\n")
+        code, out, err = run_cli(capsys, "train", "--t", "2", "--data",
+                                 str(workdir["labeled"]), flag, "full",
+                                 "--config", str(cfg))
+        assert code == 0 and err == "" and out.startswith("size=2")
+
+    def test_abbreviated_config_flag_is_read(self, workdir, capsys):
+        cfg = workdir["tmp"] / "abbrev.cfg"
+        cfg.write_text("t = 4\nmachine = yes\n")
+        code, out, _ = run_cli(capsys, "train", "--data", str(workdir["labeled"]),
+                               "--conf", str(cfg), "--mach")
+        assert code == 0 and out.startswith("size=4")
+
     @pytest.mark.parametrize("text, key", [
         ("tt = 4\nimpurty = entropy\n", "tt"),
         ("b = 16\nimpurty = entropy\n", "impurty"),

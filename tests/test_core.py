@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treelab.core import (LabeledDataset, LabelOracle, Point, RandomnessTape,
-                          RunTrace, StrandTracker, UnlabeledDataset,
-                          consistent_indices, draw_minibatch, encode_path,
+from treelab.core import (LabeledDataset, LabelOracle, LeafPools, Point,
+                          RandomnessTape, RunTrace, StrandTracker,
+                          UnlabeledDataset, consistent_indices, draw_minibatch,
+                          encode_path,
                           parse_path, path_constraint, point_reaches,
                           read_dataset, read_trace, write_dataset, write_trace)
 from treelab.targets import Dictator
@@ -154,6 +155,62 @@ class TestMinibatch:
         sd = (trials * p * (1 - p)) ** 0.5
         for i, c in counts.items():
             assert abs(c - trials * p) <= 5 * sd, (i, c)
+
+
+@st.composite
+def pool_requests(draw):
+    """Masks plus the nodes of a random tree over them, requested in a random
+    order: some leaves are never split, some are requested again, and some
+    are requested before, or without, their parent."""
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    masks = rng.integers(0, 1 << d, size=n, dtype=np.uint64)
+    nodes, leaves = [()], [()]
+    for _ in range(draw(st.integers(0, 12))):
+        if not leaves:
+            break
+        path = leaves.pop(draw(st.integers(0, len(leaves) - 1)))
+        free = [i for i in range(d) if i not in {c for c, _ in path}]
+        if free:
+            coord = draw(st.sampled_from(free))
+            children = [path + ((coord, s),) for s in (-1, 1)]
+            nodes += children
+            leaves += children
+    requests = draw(st.lists(st.sampled_from(nodes), max_size=3 * len(nodes)))
+    return masks, requests
+
+
+class TestLeafPools:
+    @given(pool_requests())
+    @settings(max_examples=300, deadline=None)
+    def test_pools_equal_a_full_scan(self, case):
+        masks, requests = case
+        pools = LeafPools(masks)
+        for path in requests:
+            pool = pools(path)
+            assert pool.tolist() == consistent_indices(masks, path).tolist()
+            assert np.all(np.diff(pool) > 0)
+
+    def test_empty_dataset_and_unreached_leaves(self):
+        pools = LeafPools(np.zeros(0, np.uint64))
+        assert pools(()).size == pools(((0, 1),)).size == pools(((0, 1), (2, -1))).size == 0
+        masks = np.array([0b00, 0b01, 0b11], np.uint64)
+        pools = LeafPools(masks)
+        assert pools(((0, 1),)).tolist() == [1, 2]
+        assert pools(((0, 1), (1, -1))).tolist() == [1]
+        assert pools(((0, -1), (1, 1))).size == 0
+        assert pools(((0, 1), (1, 1))).dtype == np.int32
+
+    def test_draw_from_pool_equals_draw_from_scan(self, tape):
+        ds = _dataset(n=500)
+        path = ((1, -1), (3, 1))
+        pool = LeafPools(ds.masks)(path)
+        for b in (1, 16, 500):
+            a = draw_minibatch(ds, path, b, tape)
+            c = draw_minibatch(ds, path, b, tape, pool=pool)
+            assert a.indices.tolist() == c.indices.tolist()
+            assert np.array_equal(a.labels, c.labels)
 
 
 class TestDatasetIO:

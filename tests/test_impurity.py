@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treelab.core import Minibatch
+from treelab.core import MAX_DIM, Minibatch
 from treelab.exhaustive import local_gain_reference
 from treelab.impurity import (ENTROPY, GINI, KEARNS_MANSOUR, TheoryParams,
                               batch_local_gains, builtin_impurities, depth_cap,
@@ -136,6 +136,59 @@ class TestLocalGain:
         gains = batch_local_gains(GINI, masks, labels, 6)
         for i in range(6):
             assert gains[i] == local_gain(GINI, batch, i)
+
+
+def _int64_gains(impurity, masks, labels, d):
+    """The earlier counting: an n x d int64 bit matrix and its product with
+    the labels, kept as the reference the packed-bit counting must match."""
+    k = len(masks)
+    bits = ((np.asarray(masks, np.uint64)[:, None] >> np.arange(d, dtype=np.uint64))
+            & np.uint64(1)).astype(np.int64)
+    y = np.asarray(labels, np.int64)
+    n_pos = bits.sum(axis=0)
+    n_neg = k - n_pos
+    s_pos = (bits * y[:, None]).sum(axis=0)
+    ones = int(y.sum())
+    s_neg = ones - s_pos
+    p_pos = np.divide(s_pos, n_pos, out=np.zeros(d), where=n_pos > 0)
+    p_neg = np.divide(s_neg, n_neg, out=np.zeros(d), where=n_neg > 0)
+    g = impurity.g
+    gains = g(ones / k) - 0.5 * g(p_neg) - 0.5 * g(p_pos)
+    gains[(n_pos == 0) | (n_neg == 0)] = 0.0
+    return gains
+
+
+class TestGainCounting:
+    """batch_local_gains equals the int64 reference bit for bit (labels in
+    {0, 1}), so split decisions do not move."""
+
+    def test_every_dimension_batch_size_and_impurity(self):
+        rng = np.random.default_rng(2024)
+        for d in range(1, MAX_DIM + 1):
+            for k in (1, 2, 7, 130):
+                masks = rng.integers(0, 1 << d, size=k, dtype=np.uint64)
+                # Constant columns: one coordinate always +1, one always -1.
+                hi, lo = rng.integers(0, d, size=2)
+                masks |= np.uint64(1 << int(hi))
+                if lo != hi:
+                    masks &= ~np.uint64(1 << int(lo))
+                labels = rng.integers(0, 2, size=k).astype(np.uint8)
+                for g in builtin_impurities():
+                    got = batch_local_gains(g, masks, labels, d)
+                    assert got.tobytes() == _int64_gains(g, masks, labels, d).tobytes(), (d, k)
+
+    def test_bits_above_d_are_ignored(self):
+        # local_gain evaluates coordinate i with d=i+1, so the masks carry
+        # set bits above d.
+        rng = np.random.default_rng(7)
+        masks = rng.integers(0, 1 << MAX_DIM, size=90, dtype=np.uint64)
+        labels = rng.integers(0, 2, size=90).astype(np.uint8)
+        batch = Minibatch((), np.arange(90), masks, labels)
+        for g in builtin_impurities():
+            for i in range(MAX_DIM):
+                want = _int64_gains(g, masks, labels, i + 1)
+                assert batch_local_gains(g, masks, labels, i + 1).tobytes() == want.tobytes()
+                assert local_gain(g, batch, i) == want[i]
 
 
 class TestPurityGain:

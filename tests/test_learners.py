@@ -4,7 +4,8 @@ import pytest
 from conftest import full_truth_table_dataset, monotone_target
 from treelab.core import LabeledDataset, Minibatch, RandomnessTape
 from treelab.exhaustive import check_shallow_splits
-from treelab.impurity import GINI, ImpurityFunction, depth_cap, g_impurity
+from treelab.impurity import (GINI, ImpurityFunction, depth_cap, depth_limit,
+                              g_impurity)
 from treelab.learners import (LeafRecord, minibatch_top_down, score_leaf,
                               top_down_full, top_down_size_estimate)
 from treelab.targets import Dictator, random_truth_table, sample_dataset
@@ -234,3 +235,25 @@ class TestTopDownSizeEstimate:
         final_partial_estimate = estimate_size(res.tree, strands)
         assert res.trace.entries[-1].size_estimate == final_partial_estimate
         assert res.size_estimate >= 32 or len(res.growth.frontier) == 0
+
+
+class TestScanCost:
+    """Each leaf's pool is filtered from its parent's, so a run scans at most
+    2n points per level (each depth-1 leaf scans all n), not n per leaf."""
+
+    @pytest.mark.parametrize("seed, t", [(0, 16), (1, 64), (2, 128)])
+    def test_minibatch_scans_n_per_level(self, points_scanned, seed, t):
+        tape = RandomnessTape(seed)
+        ds = sample_dataset(random_truth_table(np.random.default_rng(seed), 12), 4096, tape)
+        res = minibatch_top_down(t, 32, ds, GINI, tape)
+        assert res.tree.size == t
+        assert points_scanned[0] <= ds.n * (2 * depth_limit(t) + 3)
+
+    @pytest.mark.parametrize("seed, t", [(0, 32), (1, 128)])
+    def test_full_scans_n_per_level(self, points_scanned, seed, t):
+        rng = np.random.default_rng(seed)
+        ds = sample_dataset(random_truth_table(rng, 12), 4096, RandomnessTape(seed))
+        res = top_down_full(t, ds, GINI)
+        assert res.tree.size == t
+        deepest = max(e.depth for e in res.trace)
+        assert points_scanned[0] <= ds.n * (2 * deepest + 3)

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from conftest import monotone_target
 from treelab.core import LabelOracle, Point, RandomnessTape, path_constraint
 from treelab.exhaustive import exact_size_expectation
-from treelab.impurity import GINI, depth_cap
+from treelab.impurity import GINI, depth_cap, depth_limit
 from treelab.learners import GrowthState, top_down_size_estimate
 from treelab.local import LocalLearnerSession, estimate_size, local_learner
-from treelab.targets import Majority, sample_dataset
+from treelab.targets import Majority, random_truth_table, sample_dataset
 from treelab.trees import Leaf, Split, Tree, evaluate_masks, random_partial_tree
 
 
@@ -214,3 +214,17 @@ class TestForestWalk:
         for m in tape.uniform_masks(12, 50, "probe"):
             session.predict(int(m))
         assert len(grown) == 1
+
+
+@pytest.mark.parametrize("seed, t", [(0, 32), (1, 64), (2, 16)])
+def test_session_scans_n_per_level(points_scanned, seed, t):
+    # Leaf pools are filtered from parent pools, so the forest and all 50
+    # queries together scan at most 2n points per level, not n per leaf.
+    target = random_truth_table(np.random.default_rng(seed), 12)
+    tape = RandomnessTape(seed)
+    ds = sample_dataset(target, 4096, tape).unlabeled()
+    session = LocalLearnerSession(t, 64, ds, LabelOracle(target, ds), GINI, tape)
+    for x in tape.uniform_masks(12, 50, "probe"):
+        session.predict(int(x))
+    assert len(session.split_choices) > t // 2
+    assert points_scanned[0] <= ds.n * (2 * depth_limit(t) + 3)
