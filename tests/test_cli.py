@@ -1,9 +1,11 @@
+import argparse
+import hashlib
 import json
 import statistics
 
 import pytest
 
-from treelab.cli import main
+from treelab.cli import build_parser, main
 from treelab.trees import parse_tree
 
 
@@ -258,3 +260,29 @@ class TestConfigAndErrors:
         code, out, err = run_cli(capsys, "train", "--t", "8", "--seed", seed,
                                  "--data", str(workdir["labeled"]))
         assert code == 1 and out == "" and err.startswith("error: ") and "seed" in err
+
+
+def _surface(parser):
+    """Every subcommand's name and help, and per subcommand the sorted
+    (dest, option strings, default, type name, choices, nargs, help) of its
+    options plus the command it runs."""
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    commands = sorted((a.dest, a.help) for a in subs._choices_actions)
+    options = {}
+    for name, sub in sorted(subs.choices.items()):
+        options[name] = (sub.get_default("func").__name__, sorted(
+            (a.dest, tuple(a.option_strings), repr(a.default),
+             getattr(a.type, "__name__", None),
+             None if a.choices is None else tuple(a.choices), repr(a.nargs), a.help)
+            for a in sub._actions))
+    return repr((commands, options))
+
+
+# Recorded before the parser was rebuilt around one registration helper; any
+# dropped, renamed or re-defaulted option, or a changed help string, shows here.
+SURFACE_SHA256 = "7f37b47813d6c1762db1ead59875207b8c6f7de045e6d94d742c00852c34cfce"
+
+
+def test_cli_surface_pinned():
+    parser, _ = build_parser()
+    assert hashlib.sha256(_surface(parser).encode()).hexdigest() == SURFACE_SHA256
