@@ -1,7 +1,11 @@
 #!/bin/sh
 # End-to-end walkthrough of the CLI on a small read-once DNF target.
-# Run from the repository root; artifacts land in a scratch directory.
+# Runs the CLI from this checkout, installed or not; artifacts land in a
+# scratch directory.
 set -e
+
+REPO=$(cd "$(dirname "$0")/.." && pwd)
+treelab() { PYTHONPATH="$REPO/src${PYTHONPATH:+:$PYTHONPATH}" python3 -m treelab.cli "$@"; }
 
 OUT=$(mktemp -d)
 TARGET='dnf:1|2&3|4&5&6'

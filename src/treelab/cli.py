@@ -50,26 +50,37 @@ def _parse_point(text: str, d: int) -> Point:
     return Point.from_signs([1 if c == "+" else -1 for c in text])
 
 
-def _read_dataset_file(path: str):
+def _read(path: str, labeled: bool = False):
+    """The dataset in `path`: required to be labeled if `labeled`, else its
+    unlabeled view."""
     with open(path, "r", encoding="utf-8") as fh:
-        return read_dataset(fh)
-
-
-def _require_labeled(ds, path: str) -> LabeledDataset:
-    if not isinstance(ds, LabeledDataset):
+        ds = read_dataset(fh)
+    if isinstance(ds, LabeledDataset):
+        return ds if labeled else ds.unlabeled()
+    if labeled:
         raise ValueError(f"{path}: labeled dataset required")
     return ds
 
 
-def _print_theory(args, file=None) -> None:
+def _print_theory(args, d: int, file=None) -> None:
     params = TheoryParams(s=args.s, t=args.t, eps=args.eps, delta=args.delta,
-                          eta=args.eta, d=args.theory_d,
+                          eta=args.eta, d=d,
                           slack_b=args.slack_b, slack_n=args.slack_n,
                           slack_b_local=args.slack_local)
     rec = recommended_params(params, get_impurity(args.impurity))
     print(f"theory: D={rec.D} b={rec.b} b_min={rec.b_min} b_local={rec.b_local} "
           f"n={rec.n} m={rec.m} delta_gain={_fmt(rec.delta_gain, args.machine)}",
           file=file)
+
+
+def _estimate(t, b, ds, target, test, impurity, tape):
+    """The estimator's report and oracle, and the exact size t' of the
+    would-be tree.  t' is a diagnostic only the global run knows, so it is
+    rebuilt from fully-labeled data under the same tape."""
+    oracle = LabelOracle(target, ds)
+    report = estimate_learnability(t, b, ds, oracle, test, impurity, tape)
+    labeled = LabeledDataset(ds.d, ds.masks, target.eval_masks(ds.masks))
+    return report, oracle, top_down_size_estimate(t, b, labeled, impurity, tape).tree.size
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +103,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     _need(args, "t", "data")
-    ds = _require_labeled(_read_dataset_file(args.data), args.data)
+    ds = _read(args.data, labeled=True)
     impurity = get_impurity(args.impurity)
     tape = RandomnessTape(args.seed)
     if args.algo == "full":
@@ -112,16 +123,13 @@ def cmd_train(args) -> int:
         line += f" e={_fmt(result.size_estimate, args.machine)}"
     print(line)
     if args.theory:
-        args.theory_d = ds.d
-        _print_theory(args)
+        _print_theory(args, ds.d)
     return 0
 
 
 def cmd_local_predict(args) -> int:
     _need(args, "t", "unlabeled", "target", "x")
-    ds = _read_dataset_file(args.unlabeled)
-    if isinstance(ds, LabeledDataset):
-        ds = ds.unlabeled()
+    ds = _read(args.unlabeled)
     target = parse_target(args.target, ds.d)
     x = _parse_point(args.x, ds.d)
     oracle = LabelOracle(target, ds)
@@ -132,29 +140,21 @@ def cmd_local_predict(args) -> int:
         line += f" unique_labels={oracle.query_count} batches={oracle.batches_drawn}"
     print(line)
     if args.theory:
-        args.theory_d = ds.d
-        _print_theory(args)
+        _print_theory(args, ds.d)
     return 0
 
 
 def cmd_estimate(args) -> int:
     _need(args, "t", "unlabeled", "target", "test")
-    ds = _read_dataset_file(args.unlabeled)
-    if isinstance(ds, LabeledDataset):
-        ds = ds.unlabeled()
-    test = _require_labeled(_read_dataset_file(args.test), args.test)
+    ds = _read(args.unlabeled)
+    test = _read(args.test, labeled=True)
     target = parse_target(args.target, ds.d)
-    impurity = get_impurity(args.impurity)
-    tape = RandomnessTape(args.seed)
-    oracle = LabelOracle(target, ds)
-    report = estimate_learnability(args.t, args.b, ds, oracle, test, impurity, tape)
-    # The exact size t' of the would-be tree is a diagnostic only the global
-    # run knows; rebuild it here from fully-labeled data under the same tape.
-    labeled = LabeledDataset(ds.d, ds.masks, target.eval_masks(ds.masks))
-    global_run = top_down_size_estimate(args.t, args.b, labeled, impurity, tape)
+    report, oracle, t_prime = _estimate(args.t, args.b, ds, target, test,
+                                        get_impurity(args.impurity),
+                                        RandomnessTape(args.seed))
     print(f"error={_fmt(report.error, args.machine)} "
           f"unique_labels={report.unique_labels} batches={report.batches_drawn} "
-          f"t_prime={global_run.tree.size}")
+          f"t_prime={t_prime}")
     if args.budget_report:
         budget = query_budget_report(oracle, args.t, args.b, test.n)
         with open(args.budget_report, "w", encoding="utf-8") as fh:
@@ -164,8 +164,7 @@ def cmd_estimate(args) -> int:
                        "phases": budget.phase_counts}, fh, indent=2, sort_keys=True)
             fh.write("\n")
     if args.theory:
-        args.theory_d = ds.d
-        _print_theory(args)
+        _print_theory(args, ds.d)
     return 0
 
 
@@ -258,28 +257,19 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     _need(args, "vary", "values", "target", "d")
     if args.theory:
-        args.theory_d = args.d
-        _print_theory(args, file=sys.stderr)  # keep stdout a clean table
+        _print_theory(args, args.d, file=sys.stderr)  # keep stdout a clean table
     values = [int(v) for v in args.values.split(",")]
     impurity = get_impurity(args.impurity)
     rows = ["\t".join(["param", "error", "unique_labels", "t_prime"])]
     for value in values:
         for seed in range(args.seeds):
-            t, b, n = args.t, args.b, args.n
-            if args.vary == "b":
-                b = value
-            elif args.vary == "t":
-                t = value
-            else:
-                n = value
+            size = {"t": args.t, "b": args.b, "n": args.n, args.vary: value}
             tape = RandomnessTape(args.seed + seed)
             target = parse_target(args.target, args.d)
-            train = sample_dataset(target, n, tape, key="sweep-train").unlabeled()
+            train = sample_dataset(target, size["n"], tape, key="sweep-train").unlabeled()
             test = sample_dataset(target, args.test_n, tape, key="sweep-test")
-            oracle = LabelOracle(target, train)
-            report = estimate_learnability(t, b, train, oracle, test, impurity, tape)
-            labeled = LabeledDataset(train.d, train.masks, target.eval_masks(train.masks))
-            t_prime = top_down_size_estimate(t, b, labeled, impurity, tape).tree.size
+            report, _, t_prime = _estimate(size["t"], size["b"], train, target, test,
+                                           impurity, tape)
             rows.append("\t".join([str(value), _fmt(report.error, args.machine),
                                    str(report.unique_labels), str(t_prime)]))
     text = "\n".join(rows) + "\n"
@@ -296,113 +286,81 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--machine", action="store_true", help="full-precision output")
-    p.add_argument("--config", default=None,
-                   help="file of 'key = value' lines; flags take precedence")
-
-
-def _add_theory(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theory", action="store_true",
-                   help="print the resolved parameter recommendations")
-    p.add_argument("--s", type=int, default=8)
-    p.add_argument("--eps", type=float, default=0.25)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--eta", type=float, default=0.25)
-    p.add_argument("--slack-b", type=float, default=1.0)
-    p.add_argument("--slack-n", type=float, default=1.0)
-    p.add_argument("--slack-local", type=float, default=1.0)
-
-
 def build_parser():
+    """The `treelab` parser and its subcommand parsers by name.  Subcommands
+    are registered here, at call time, so each runs the `cmd_*` function the
+    module binds when the parser is built."""
     parser = argparse.ArgumentParser(prog="treelab")
     subs = parser.add_subparsers(dest="command", required=True)
-    sub_map = {}
 
-    p = subs.add_parser("gen-data", help="sample a dataset from a target")
+    def sub(name, func, help, learner=False, t=None):
+        p = subs.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+        p.add_argument("--machine", action="store_true", help="full-precision output")
+        p.add_argument("--config", default=None,
+                       help="file of 'key = value' lines; flags take precedence")
+        if learner:
+            p.add_argument("--t", type=int, default=t)
+            p.add_argument("--b", type=int, default=64)
+            p.add_argument("--impurity", default="gini")
+            p.add_argument("--theory", action="store_true",
+                           help="print the resolved parameter recommendations")
+            for flag, default in (("--s", 8), ("--eps", 0.25), ("--delta", 0.1),
+                                  ("--eta", 0.25), ("--slack-b", 1.0),
+                                  ("--slack-n", 1.0), ("--slack-local", 1.0)):
+                p.add_argument(flag, type=type(default), default=default)
+        return p
+
+    p = sub("gen-data", cmd_gen_data, "sample a dataset from a target")
     p.add_argument("--target", default=None)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--unlabeled", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=cmd_gen_data)
-    sub_map["gen-data"] = p
 
-    p = subs.add_parser("train", help="grow a tree from labeled data")
+    p = sub("train", cmd_train, "grow a tree from labeled data", learner=True)
     p.add_argument("--algo", choices=["full", "minibatch", "size-estimate"],
                    default="minibatch")
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--b", type=int, default=64)
-    p.add_argument("--impurity", default="gini")
     p.add_argument("--data", default=None)
     p.add_argument("--out-tree", default=None)
     p.add_argument("--out-trace", default=None)
-    _add_common(p)
-    _add_theory(p)
-    p.set_defaults(func=cmd_train)
-    sub_map["train"] = p
 
-    p = subs.add_parser("local-predict", help="label one point with few queries")
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--b", type=int, default=64)
-    p.add_argument("--impurity", default="gini")
+    p = sub("local-predict", cmd_local_predict, "label one point with few queries",
+            learner=True)
     p.add_argument("--unlabeled", default=None)
     p.add_argument("--target", default=None)
     p.add_argument("--x", default=None, help="point as a +/- string, e.g. '+-++'")
     p.add_argument("--report-queries", action="store_true")
-    _add_common(p)
-    _add_theory(p)
-    p.set_defaults(func=cmd_local_predict)
-    sub_map["local-predict"] = p
 
-    p = subs.add_parser("estimate", help="estimate the would-be tree's test error")
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--b", type=int, default=64)
-    p.add_argument("--impurity", default="gini")
+    p = sub("estimate", cmd_estimate, "estimate the would-be tree's test error",
+            learner=True)
     p.add_argument("--unlabeled", default=None)
     p.add_argument("--target", default=None)
     p.add_argument("--test", default=None)
     p.add_argument("--budget-report", default=None)
-    _add_common(p)
-    _add_theory(p)
-    p.set_defaults(func=cmd_estimate)
-    sub_map["estimate"] = p
 
-    p = subs.add_parser("size-estimate", help="strand-based tree size estimate")
+    p = sub("size-estimate", cmd_size_estimate, "strand-based tree size estimate")
     p.add_argument("--tree", default=None)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--m", type=int, default=256)
     p.add_argument("--exact", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=cmd_size_estimate)
-    sub_map["size-estimate"] = p
 
-    p = subs.add_parser("verify", help="run the brute-force self checks")
+    p = sub("verify", cmd_verify, "run the brute-force self checks")
     p.add_argument("--trials", type=int, default=100)
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
-    sub_map["verify"] = p
 
-    p = subs.add_parser("sweep", help="emit a TSV table over a parameter sweep")
+    p = sub("sweep", cmd_sweep, "emit a TSV table over a parameter sweep",
+            learner=True, t=32)
     p.add_argument("--vary", choices=["b", "t", "n"], default=None)
     p.add_argument("--values", default=None, help="comma-separated values")
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--target", default=None)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--n", type=int, default=4096)
-    p.add_argument("--t", type=int, default=32)
-    p.add_argument("--b", type=int, default=64)
     p.add_argument("--test-n", type=int, default=200)
-    p.add_argument("--impurity", default="gini")
     p.add_argument("--out", default=None)
-    _add_common(p)
-    _add_theory(p)
-    p.set_defaults(func=cmd_sweep)
-    sub_map["sweep"] = p
 
-    return parser, sub_map
+    return parser, subs.choices
 
 
 def _load_config(path: str) -> dict:
@@ -449,27 +407,30 @@ def _apply_config(parser: argparse.ArgumentParser, sub: argparse.ArgumentParser,
                   cfg: dict, argv: list) -> None:
     """Make the config values the subcommand's defaults, except for options
     the command line gives.  Which those are comes from argparse's own parse
-    with the config keys' defaults unset, so abbreviated flags count too."""
-    actions = {a.dest: a for a in sub._actions if a.dest in cfg}
-    sub.set_defaults(**dict.fromkeys(actions, _UNSET))
+    with the config keys' defaults unset, so abbreviated flags count too.
+    Values are converted in file order: of several bad ones, the file's
+    first is reported, however the options are declared."""
+    actions = {a.dest: a for a in sub._actions}
+    keys = [key for key in cfg if key in actions]
+    sub.set_defaults(**dict.fromkeys(keys, _UNSET))
     given = vars(parser.parse_args(argv))
-    sub.set_defaults(**{dest: _config_value(action, cfg[dest])
-                        for dest, action in actions.items() if given[dest] is _UNSET})
+    sub.set_defaults(**{key: _config_value(actions[key], cfg[key])
+                        for key in keys if given[key] is _UNSET})
 
 
 def main(argv: Optional[list] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, sub_map = build_parser()
+    parser, subcommands = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.config:
             cfg = _load_config(args.config)
-            known = {a.dest for sub in sub_map.values() for a in sub._actions
+            known = {a.dest for sub in subcommands.values() for a in sub._actions
                      if a.dest not in ("help", "config")}
             unknown = [key for key in cfg if key not in known]
             if unknown:
                 raise ValueError(f"unknown config key {unknown[0]!r}")
-            _apply_config(parser, sub_map[args.command], cfg, argv)
+            _apply_config(parser, subcommands[args.command], cfg, argv)
             args = parser.parse_args(argv)
         return args.func(args)
     except (OSError, ValueError, BudgetError) as exc:

@@ -10,6 +10,7 @@ Coordinates are 0-based in memory; all text formats are 1-based.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass, field
 from typing import IO, Iterator, Optional, Sequence, Union
 
@@ -113,7 +114,7 @@ def parse_path(text: str) -> LeafPath:
         if ch.isdigit():
             num += ch
         elif ch in "+-":
-            if not num:
+            if not num or int(num) < 1:
                 raise ValueError(f"malformed path {text!r}")
             out.append((int(num) - 1, 1 if ch == "+" else -1))
             num = ""
@@ -190,8 +191,11 @@ def read_dataset(fp: IO[str]) -> AnyDataset:
     if len(header) != 2:
         raise ValueError("dataset header must be 'd n'")
     d, n = int(header[0]), int(header[1])
-    masks = np.zeros(n, dtype=np.uint64)
-    labels = np.zeros(n, dtype=np.uint8)
+    _check_dim(d)
+    if n < 0:
+        raise ValueError(f"dataset size must be >= 0, got {n}")
+    # Grown as rows arrive, so the header's n alone allocates nothing.
+    masks, labels = array("Q"), bytearray()
     labeled = None
     for row in range(n):
         parts = fp.readline().split()
@@ -211,18 +215,17 @@ def read_dataset(fp: IO[str]) -> AnyDataset:
                 mask |= 1 << i
             elif s != -1:
                 raise ValueError(f"row {row}: entry {parts[i]} not in {{-1,1}}")
-        masks[row] = mask
+        masks.append(mask)
         if labeled:
             y = int(parts[d])
             if y not in (0, 1):
                 raise ValueError(f"row {row}: label {y} not in {{0,1}}")
-            labels[row] = y
+            labels.append(y)
     if fp.read().strip():
         raise ValueError(f"content after the {n} rows the header declares")
-    if labeled is None:
-        labeled = False
+    masks = np.frombuffer(masks, dtype=np.uint64)
     if labeled:
-        return LabeledDataset(d, masks, labels)
+        return LabeledDataset(d, masks, np.frombuffer(labels, dtype=np.uint8))
     return UnlabeledDataset(d, masks)
 
 
@@ -468,6 +471,8 @@ def read_trace(fp: IO[str]) -> RunTrace:
         entry = TraceEntry(j, path, depth, coord - 1, float(parts[4]), float(parts[5]))
         if entry.depth != len(path):
             raise ValueError(f"trace line {j}: depth field disagrees with path")
+        if coord < 1:
+            raise ValueError(f"trace line {j}: coordinate {coord} is below 1")
         trace.entries.append(entry)
     trace.validate()
     return trace

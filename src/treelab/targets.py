@@ -58,31 +58,6 @@ class Majority(TargetFunction):
 
 
 @dataclass
-class Tribes(TargetFunction):
-    """OR of ANDs over consecutive blocks of width w (last block may be short)."""
-
-    d: int
-    w: int
-
-    def __post_init__(self):
-        if not 1 <= self.w <= self.d:
-            raise ValueError(f"tribe width {self.w} out of range")
-        self._blocks = []
-        for start in range(0, self.d, self.w):
-            bm = 0
-            for i in range(start, min(start + self.w, self.d)):
-                bm |= 1 << i
-            self._blocks.append(np.uint64(bm))
-
-    def eval_masks(self, masks):
-        masks = np.asarray(masks, np.uint64)
-        hit = np.zeros(len(masks), dtype=bool)
-        for bm in self._blocks:
-            hit |= (masks & bm) == bm
-        return hit.astype(np.uint8)
-
-
-@dataclass
 class ReadOnceDNF(TargetFunction):
     """Monotone read-once DNF: OR of ANDs over disjoint coordinate sets."""
 
@@ -108,6 +83,18 @@ class ReadOnceDNF(TargetFunction):
         for tm in self._term_masks:
             hit |= (masks & tm) == tm
         return hit.astype(np.uint8)
+
+
+class Tribes(ReadOnceDNF):
+    """The read-once DNF whose terms are the consecutive blocks of width w
+    (the last block may be short)."""
+
+    def __init__(self, d: int, w: int):
+        if not 1 <= w <= d:
+            raise ValueError(f"tribe width {w} out of range")
+        self.w = w
+        super().__init__(d, tuple(frozenset(range(start, min(start + w, d)))
+                                  for start in range(0, d, w)))
 
 
 @dataclass
@@ -269,9 +256,8 @@ def random_truth_table(rng: np.random.Generator, d: int) -> TruthTable:
 # ---------------------------------------------------------------------------
 
 
-def parse_target(spec: str, d: int, tree_loader=None) -> TargetFunction:
-    """Build a target from its grammar string.  `tree_loader` maps a file
-    path to its text (defaults to reading the filesystem)."""
+def parse_target(spec: str, d: int) -> TargetFunction:
+    """Build a target from its grammar string."""
     kind, _, arg = spec.partition(":")
     if kind == "dictator":
         return Dictator(d, int(arg) - 1)
@@ -288,12 +274,8 @@ def parse_target(spec: str, d: int, tree_loader=None) -> TargetFunction:
             terms.append(coords)
         return ReadOnceDNF(d, tuple(terms))
     if kind == "tree":
-        if tree_loader is None:
-            with open(arg, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        else:
-            text = tree_loader(arg)
-        return ExplicitTree(parse_tree(text, d))
+        with open(arg, "r", encoding="utf-8") as fh:
+            return ExplicitTree(parse_tree(fh.read(), d))
     if kind == "xor":
         return Xor(d, frozenset(int(c) - 1 for c in arg.split(",")))
     raise ValueError(f"unknown target spec {spec!r}")

@@ -13,7 +13,7 @@ from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-from .core import LeafPath, Point, path_coords, sign_bit
+from .core import LeafPath, Point, _check_dim, path_coords, sign_bit
 
 
 @dataclass(frozen=True)
@@ -253,6 +253,7 @@ def serialize_tree(tree: Tree) -> str:
 
 
 def parse_tree(text: str, d: int) -> Tree:
+    _check_dim(d)
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
 
@@ -271,7 +272,7 @@ def parse_tree(text: str, d: int) -> Tree:
         pos += 1
         return t
 
-    def node() -> Node:
+    def node(depth: int) -> Node:
         expect("(")
         head = atom()
         if head == "leaf":
@@ -281,14 +282,17 @@ def parse_tree(text: str, d: int) -> Tree:
             expect(")")
             return Leaf(lbl)
         if head == "split":
+            # A path repeats no coordinate, so no valid split sits at depth d.
+            if depth >= d:
+                raise ValueError(f"tree nested deeper than d={d}")
             coord = int(atom()) - 1
-            neg = node()
-            pos_child = node()
+            neg = node(depth + 1)
+            pos_child = node(depth + 1)
             expect(")")
             return Split(coord, neg, pos_child)
         raise ValueError(f"unknown node kind {head!r}")
 
-    root = node()
+    root = node(0)
     if pos != len(tokens):
         raise ValueError("trailing tokens after tree")
     return Tree(d, root)

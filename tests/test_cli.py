@@ -209,6 +209,17 @@ class TestConfigAndErrors:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and expected in err
 
+    @pytest.mark.parametrize("text, key", [("b = x\nt = y\n", "b"),
+                                           ("t = y\nb = x\n", "t")],
+                             ids=["b-first", "t-first"])
+    def test_first_bad_config_value_in_file_order_is_reported(self, workdir, capsys,
+                                                               text, key):
+        cfg = workdir["tmp"] / "two.cfg"
+        cfg.write_text(text)
+        code, _, err = run_cli(capsys, "train", "--data", str(workdir["labeled"]),
+                               "--config", str(cfg))
+        assert code == 1 and err.startswith(f"error: config key {key}: invalid int")
+
     @pytest.mark.parametrize("flag", ["--algo", "--al"])
     def test_given_flag_skips_its_config_value_even_abbreviated(self, workdir,
                                                                  capsys, flag):
@@ -249,6 +260,24 @@ class TestConfigAndErrors:
         code, out, _ = run_cli(capsys, "train", "--data", str(workdir["labeled"]),
                                "--config", str(cfg))
         assert code == 0 and out.startswith("size=")
+
+    @pytest.mark.parametrize("text", ["65 1\n" + " 1" * 65 + " 0\n",
+                                      "20 100000000000000\n" + " 1" * 20 + " 0\n",
+                                      "4 -1\n"], ids=["d-65", "huge-n", "negative-n"])
+    def test_malformed_dataset_header_is_an_error(self, tmp_path, capsys, text):
+        data = tmp_path / "bad.txt"
+        data.write_text(text)
+        code, out, err = run_cli(capsys, "train", "--t", "4", "--data", str(data))
+        assert code == 1 and out == "" and err.startswith("error: ")
+
+    def test_tree_nested_deeper_than_d_is_an_error(self, tmp_path, capsys):
+        tree = tmp_path / "deep.tree"
+        tree.write_text("(split 1 " * 1200 + "(leaf 0)" + " (leaf 1))" * 1200)
+        code, out, err = run_cli(capsys, "size-estimate", "--tree", str(tree), "--d", "8")
+        assert code == 1 and out == "" and err == "error: tree nested deeper than d=8\n"
+        code, out, err = run_cli(capsys, "gen-data", "--target", f"tree:{tree}",
+                                 "--d", "8", "--n", "4", "--out", str(tmp_path / "x"))
+        assert code == 1 and out == "" and err == "error: tree nested deeper than d=8\n"
 
     def test_missing_config_file_is_an_error(self, workdir, capsys):
         code, _, err = run_cli(capsys, "train", "--t", "8", "--data",

@@ -55,6 +55,11 @@ class TestLeafPaths:
     def test_encode_parse_roundtrip(self, path):
         assert parse_path(encode_path(path)) == path
 
+    @pytest.mark.parametrize("bad", ["0+", "1+0-", "00-"])
+    def test_coordinates_below_one_rejected(self, bad):
+        with pytest.raises(ValueError, match="malformed path"):
+            parse_path(bad)
+
     def test_constraint_matches_membership(self):
         path = ((0, 1), (3, -1))
         m, v = path_constraint(path)
@@ -257,6 +262,21 @@ class TestDatasetIO:
         back = read_dataset(io.StringIO("2 2\n1 -1 1\n-1 1 0\n\n  \n\t\n"))
         assert back.n == 2 and list(back.labels) == [1, 0]
 
+    @pytest.mark.parametrize("text, match", [
+        ("65 1\n" + " 1" * 65 + "\n", "dimension"),
+        ("0 0\n", "dimension"),
+        # The header's n is not allocated up front: one row, then the error.
+        ("20 100000000000000\n" + " 1" * 20 + "\n", "row 1"),
+        ("2 -1\n", "dataset size"),
+    ], ids=["d-65", "d-0", "huge-n", "negative-n"])
+    def test_rejects_malformed_headers(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            read_dataset(io.StringIO(text))
+
+    def test_empty_dataset(self):
+        back = read_dataset(io.StringIO("3 0\n"))
+        assert isinstance(back, UnlabeledDataset) and back.n == 0 and back.d == 3
+
 
 class TestLabelOracle:
     def test_count_equals_distinct_revealed(self):
@@ -300,6 +320,12 @@ class TestRunTrace:
         back = read_trace(buf)
         assert [(e.j, e.path, e.coord, e.gain, e.size_estimate) for e in back] \
             == [(e.j, e.path, e.coord, e.gain, e.size_estimate) for e in tr]
+
+    @pytest.mark.parametrize("line", ["1 . 0 0 0.5 2.0\n", "1 . 0 -3 0.5 2.0\n",
+                                      "1 0+ 1 2 0.5 2.0\n"])
+    def test_coordinates_below_one_rejected(self, line):
+        with pytest.raises(ValueError):
+            read_trace(io.StringIO(line))
 
     def test_validate_catches_depth_cap(self):
         tr = RunTrace(depth_cap=0)

@@ -167,6 +167,18 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             parse_tree(bad, 3)
 
+    def test_nesting_deeper_than_d_rejected(self):
+        chain = "(split 1 (split 2 (split 3 (leaf 0) (leaf 1)) (leaf 1)) (leaf 0))"
+        assert parse_tree(chain, 3).depth == 3
+        with pytest.raises(ValueError, match="deeper than d=2"):
+            parse_tree(chain, 2)
+        # Deep enough to exhaust the interpreter's recursion limit unchecked.
+        deep = "(split 1 " * 1200 + "(leaf 0)" + " (leaf 1))" * 1200
+        with pytest.raises(ValueError, match="deeper than d=3"):
+            parse_tree(deep, 3)
+        with pytest.raises(ValueError, match="dimension"):
+            parse_tree(deep, 5000)
+
     def test_unlabeled_not_serializable(self):
         with pytest.raises(ValueError):
             serialize_tree(Tree(1, Leaf(None)))
