@@ -8,4 +8,8 @@ set -e
 
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors "$@"
 python -m pytest -q perfbench/tests "$@"
-sh scripts/demo.sh
+# The demo keeps its artifacts for inspection; here they go in a directory
+# removed on exit.
+DEMO_TMP=$(mktemp -d)
+trap 'rm -rf "$DEMO_TMP"' EXIT
+TMPDIR=$DEMO_TMP sh scripts/demo.sh
