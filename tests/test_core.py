@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -218,6 +219,137 @@ class TestLeafPools:
             assert np.array_equal(a.labels, c.labels)
 
 
+def _rows16(k, labeled=True):
+    """k canonical rows at d = 16; row i encodes mask 40503*i mod 2^16."""
+    out = []
+    for i in range(k):
+        m = (i * 40503) % (1 << 16)
+        signs = " ".join("1" if (m >> j) & 1 else "-1" for j in range(16))
+        out.append(signs + (f" {m & 1}" if labeled else "") + "\n")
+    return "".join(out)
+
+
+ROW16 = " ".join(["1"] * 16)
+
+# Odd and malformed dataset texts for `read_dataset`, by case name.
+READER_CORPUS = {
+    # Entries and labels are read with int(), so these are accepted.
+    "plus-one": "2 1\n+1 -1 0\n",
+    "zero-padded": "2 2\n01 -1 1\n-01 1 0\n",
+    "label-minus-zero": "2 1\n1 1 -0\n",
+    "label-plus-one": "2 1\n-1 1 +1\n",
+    "arabic-indic-one": "2 1\n\u0661 -1 \u0661\n",
+    "fullwidth-one": "2 1\n-\uff11 \uff11 0\n",
+    "math-bold-one": "2 1\n\U0001d7cf -1 0\n",
+    "underscore-label": "2 1\n1 1 0_1\n",
+    "multiblock-odd-tokens": "16 3000\n" + "".join(
+        r.replace("-1 ", "-01 ", 1) if i % 7 == 0 else r
+        for i, r in enumerate(_rows16(3000).splitlines(keepends=True))),
+    "unlabeled": "3 2\n1 -1 1\n-1 -1 -1\n",
+    "d63-all-plus": ("63 2\n" + " ".join(["1"] * 63) + " 1\n"
+                     + " ".join(["-1"] * 62 + ["1"]) + " 0\n"),
+    # Values out of range or not integers.
+    "entry-two": "2 1\n1 2 0\n",
+    "entry-zero": "2 1\n0 1\n",
+    "entry-x": "2 1\n1 x 0\n",
+    "entry-float": "2 1\n1.0 1 0\n",
+    "entry-unicode-minus": "2 1\n\u2212" "1 1 0\n",
+    "entry-nul": "2 1\n1\x00 1 0\n",
+    "entry-lone-surrogate": "2 1\n1 \ud800 0\n",
+    "entry-underscore": "2 1\n1_0 1 0\n",
+    "label-two": "2 1\n1 1 2\n",
+    "label-minus-one": "2 1\n1 1 -1\n",
+    "label-x": "2 1\n1 1 y\n",
+    "entry-before-label": "2 1\n1 3 7\n",
+    "value-before-later-parse": "2 1\n3 x 0\n",
+    "parse-before-later-value": "2 1\nx 3 0\n",
+    "earliest-row-wins": "2 3\n1 1 0\n1 1 5\n1 9 0\n",
+    # Separators: whatever str.split() accepts.
+    "tabs": "2 2\n1\t-1\t0\n-1\t\t1 1\n",
+    "carriage-returns": "2 2\r\n1 -1 0\r\n-1\r1\r1\r\n",
+    "vertical-tab-form-feed": "2 1\n1\x0b-1\x0c0\n",
+    "file-separators": "2 1\n1\x1c-1\x1d0\x1e\x1f\n",
+    "nbsp": "2 1\n1\xa0-1\xa00\n",
+    "unicode-spaces": "2 2\n1\u3000-1\u20030\u2028\n-1\u0085\u16801\u202f\u205f1\u2029\n",
+    "leading-trailing-space": "2 1\n   1 -1 0   \n",
+    "zero-width-space-not-a-separator": "2 1\n1\u200b-1 0\n",
+    # Row structure.
+    "blank-row-first": "2 1\n\n1 1 0\n",
+    "blank-row-between": "2 2\n1 1 0\n\n-1 1 1\n",
+    "no-final-newline": "2 2\n1 1 0\n-1 -1 1",
+    "no-final-newline-unlabeled": "2 2\n1 1\n-1 -1",
+    "n-beyond-rows": "2 3\n1 1 0\n-1 1 1\n",
+    "n-beyond-rows-unlabeled": "2 3\n1 1\n-1 1\n",
+    "fields-row0-too-many": "2 1\n1 1 1 1\n",
+    "fields-row0-too-few": "2 1\n1\n",
+    "fields-row1-unlabeled-after-labeled": "2 2\n1 1 0\n1 1\n",
+    "fields-row1-labeled-after-unlabeled": "2 2\n1 1\n1 1 0\n",
+    "fields-row5000": "16 6000\n" + _rows16(5000) + ROW16 + "\n" + _rows16(999),
+    "entry-row5000": "16 6000\n" + _rows16(5000) + "1 3" + " 1" * 14 + " 0\n" + _rows16(999),
+    "label-row5000-unlabeled-rows": "16 5001\n" + _rows16(5000, False) + ROW16 + " 1\n",
+    "missing-row5000": "16 5001\n" + _rows16(5000),
+    "header-tabs": "2\t1\n1 1 0\n",
+    "header-plus": "+2 01\n1 1 0\n",
+}
+
+
+# Outcomes of `read_dataset` on the corpus, recorded from the row-at-a-time
+# reader: (class, d, n, digest of masks and labels) or (exception, message).
+READER_OUTCOMES = {
+    "plus-one": ("LabeledDataset", 2, 1, "a536aa3cede6ea3c"),
+    "zero-padded": ("LabeledDataset", 2, 2, "f978342be750b8e6"),
+    "label-minus-zero": ("LabeledDataset", 2, 1, "dc4c8669df128318"),
+    "label-plus-one": ("LabeledDataset", 2, 1, "f83f60940c1ec44c"),
+    "arabic-indic-one": ("LabeledDataset", 2, 1, "f52f3a746c254565"),
+    "fullwidth-one": ("LabeledDataset", 2, 1, "4322fd2bc0a137d1"),
+    "math-bold-one": ("LabeledDataset", 2, 1, "a536aa3cede6ea3c"),
+    "underscore-label": ("LabeledDataset", 2, 1, "3f446a7c4145b1f0"),
+    "multiblock-odd-tokens": ("LabeledDataset", 16, 3000, "d7e47b628a79850f"),
+    "unlabeled": ("UnlabeledDataset", 3, 2, "966a28d35016032e"),
+    "d63-all-plus": ("LabeledDataset", 63, 2, "5c6e81175d76a254"),
+    "entry-two": ("ValueError", "row 0: entry 2 not in {-1,1}"),
+    "entry-zero": ("ValueError", "row 0: entry 0 not in {-1,1}"),
+    "entry-x": ("ValueError", "invalid literal for int() with base 10: 'x'"),
+    "entry-float": ("ValueError", "invalid literal for int() with base 10: '1.0'"),
+    "entry-unicode-minus": ("ValueError", "invalid literal for int() with base 10: '\u22121'"),
+    "entry-nul": ("ValueError", "invalid literal for int() with base 10: '1\\x00'"),
+    "entry-lone-surrogate": ("ValueError", "invalid literal for int() with base 10: '\\ud800'"),
+    "entry-underscore": ("ValueError", "row 0: entry 1_0 not in {-1,1}"),
+    "label-two": ("ValueError", "row 0: label 2 not in {0,1}"),
+    "label-minus-one": ("ValueError", "row 0: label -1 not in {0,1}"),
+    "label-x": ("ValueError", "invalid literal for int() with base 10: 'y'"),
+    "entry-before-label": ("ValueError", "row 0: entry 3 not in {-1,1}"),
+    "value-before-later-parse": ("ValueError", "row 0: entry 3 not in {-1,1}"),
+    "parse-before-later-value": ("ValueError", "invalid literal for int() with base 10: 'x'"),
+    "earliest-row-wins": ("ValueError", "row 1: label 5 not in {0,1}"),
+    "tabs": ("LabeledDataset", 2, 2, "ab87fdae8c0a6fa2"),
+    "carriage-returns": ("LabeledDataset", 2, 2, "ab87fdae8c0a6fa2"),
+    "vertical-tab-form-feed": ("LabeledDataset", 2, 1, "a536aa3cede6ea3c"),
+    "file-separators": ("LabeledDataset", 2, 1, "a536aa3cede6ea3c"),
+    "nbsp": ("LabeledDataset", 2, 1, "a536aa3cede6ea3c"),
+    "unicode-spaces": ("LabeledDataset", 2, 2, "ab87fdae8c0a6fa2"),
+    "leading-trailing-space": ("LabeledDataset", 2, 1, "a536aa3cede6ea3c"),
+    "zero-width-space-not-a-separator": (
+        "ValueError", "invalid literal for int() with base 10: '1\\u200b-1'"),
+    "blank-row-first": ("ValueError", "row 0: expected 2 or 3 fields"),
+    "blank-row-between": ("ValueError", "row 1: inconsistent field count"),
+    "no-final-newline": ("LabeledDataset", 2, 2, "960ac6808a8c0d1b"),
+    "no-final-newline-unlabeled": ("UnlabeledDataset", 2, 2, "59d5966c96af7eca"),
+    "n-beyond-rows": ("ValueError", "row 2: inconsistent field count"),
+    "n-beyond-rows-unlabeled": ("ValueError", "row 2: inconsistent field count"),
+    "fields-row0-too-many": ("ValueError", "row 0: expected 2 or 3 fields"),
+    "fields-row0-too-few": ("ValueError", "row 0: expected 2 or 3 fields"),
+    "fields-row1-unlabeled-after-labeled": ("ValueError", "row 1: inconsistent field count"),
+    "fields-row1-labeled-after-unlabeled": ("ValueError", "row 1: inconsistent field count"),
+    "fields-row5000": ("ValueError", "row 5000: inconsistent field count"),
+    "entry-row5000": ("ValueError", "row 5000: entry 3 not in {-1,1}"),
+    "label-row5000-unlabeled-rows": ("ValueError", "row 5000: inconsistent field count"),
+    "missing-row5000": ("ValueError", "row 5000: inconsistent field count"),
+    "header-tabs": ("LabeledDataset", 2, 1, "dc4c8669df128318"),
+    "header-plus": ("LabeledDataset", 2, 1, "dc4c8669df128318"),
+}
+
+
 class TestDatasetIO:
     def test_labeled_roundtrip(self):
         ds = _dataset(n=17)
@@ -276,6 +408,19 @@ class TestDatasetIO:
     def test_empty_dataset(self):
         back = read_dataset(io.StringIO("3 0\n"))
         assert isinstance(back, UnlabeledDataset) and back.n == 0 and back.d == 3
+
+    @pytest.mark.parametrize("case", list(READER_CORPUS))
+    def test_reader_corpus(self, case):
+        try:
+            ds = read_dataset(io.StringIO(READER_CORPUS[case]))
+        except ValueError as e:
+            outcome = (type(e).__name__, str(e))
+        else:
+            h = hashlib.sha256(ds.masks.tobytes())
+            if isinstance(ds, LabeledDataset):
+                h.update(ds.labels.tobytes())
+            outcome = (type(ds).__name__, ds.d, ds.n, h.hexdigest()[:16])
+        assert outcome == READER_OUTCOMES[case]
 
 
 class TestLabelOracle:
