@@ -16,7 +16,7 @@ from typing import Callable, List, Union
 
 import numpy as np
 
-from .core import LeafPath, Minibatch, path_constraint, path_coords
+from .core import LeafPath, Minibatch, mask_bits, path_constraint, path_coords
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -111,8 +111,7 @@ def batch_local_gains(impurity: ImpurityFunction, masks: np.ndarray,
     k = len(masks)
     if k == 0:
         raise ValueError("local gain of an empty batch")
-    low = np.ascontiguousarray(masks, "<u8").view(np.uint8).reshape(k, 8)[:, :(d + 7) // 8]
-    bits = np.unpackbits(low, axis=1, count=d, bitorder="little")
+    bits = mask_bits(masks, d)
     y = np.asarray(labels, np.int64)
     n_pos = bits.sum(axis=0, dtype=np.int64)
     n_neg = k - n_pos

@@ -1,13 +1,15 @@
 import hashlib
 import io
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treelab.core import (LabeledDataset, LabelOracle, LeafPools, Point,
-                          RandomnessTape, RunTrace, StrandTracker,
+from treelab.core import (BLOCK_TOKENS, MAX_DIM, LabeledDataset, LabelOracle,
+                          LeafPools, Point, RandomnessTape, RunTrace, StrandTracker,
                           UnlabeledDataset, consistent_indices, draw_minibatch,
                           encode_path,
                           parse_path, path_constraint, point_reaches,
@@ -421,6 +423,78 @@ class TestDatasetIO:
                 h.update(ds.labels.tobytes())
             outcome = (type(ds).__name__, ds.d, ds.n, h.hexdigest()[:16])
         assert outcome == READER_OUTCOMES[case]
+
+
+def _reference_text(ds):
+    """The dataset text written one row at a time from each point's signs."""
+    labeled = isinstance(ds, LabeledDataset)
+    out = [f"{ds.d} {ds.n}\n"]
+    for i in range(ds.n):
+        row = " ".join(str(s) for s in ds.point(i).signs)
+        if labeled:
+            row += f" {int(ds.labels[i])}"
+        out.append(row + "\n")
+    return "".join(out)
+
+
+@st.composite
+def io_datasets(draw):
+    """Datasets at any d, from empty to a little over two I/O blocks."""
+    d = draw(st.integers(1, MAX_DIM))
+    rows = BLOCK_TOKENS // (d + 1)
+    n = draw(st.one_of(st.sampled_from([0, 1, rows - 1, rows, rows + 1, 2 * rows + 1]),
+                       st.integers(0, 2 * rows + 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    masks = rng.integers(0, 1 << d, size=n, dtype=np.uint64)
+    masks[:1] = (1 << d) - 1
+    if draw(st.booleans()):
+        return LabeledDataset(d, masks, rng.integers(0, 2, size=n).astype(np.uint8))
+    return UnlabeledDataset(d, masks)
+
+
+class TestBlockedDatasetIO:
+    @given(io_datasets())
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_and_reference_text(self, ds):
+        buf = io.StringIO()
+        write_dataset(ds, buf)
+        assert buf.getvalue() == _reference_text(ds)
+        buf.seek(0)
+        back = read_dataset(buf)
+        # Without rows the text cannot tell a labeled dataset from an unlabeled one.
+        assert type(back) is (type(ds) if ds.n else UnlabeledDataset) and back.d == ds.d
+        assert back.masks.tolist() == ds.masks.tolist()
+        if isinstance(back, LabeledDataset):
+            assert back.labels.tolist() == ds.labels.tolist()
+
+    def test_every_split_separator_is_read(self):
+        spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+        text = "".join(f"1{c}-1{c}0\n" for c in spaces if c != "\n")
+        back = read_dataset(io.StringIO(f"2 {len(spaces) - 1}\n" + text))
+        assert back.masks.tolist() == [1] * (len(spaces) - 1)
+        for joiner in ["\u200b", "\u180e", "\ufeff", "\x00"]:
+            with pytest.raises(ValueError, match="invalid literal"):
+                read_dataset(io.StringIO(f"2 1\n1{joiner}-1 0\n"))
+
+    def test_reads_in_bounded_memory(self):
+        # About 5 MB of text: reading it whole would allocate more than the
+        # bound before converting a single row.
+        rng = np.random.default_rng(5)
+        n = 1 << 15
+        ds = LabeledDataset(63, rng.integers(0, 1 << 63, size=n, dtype=np.uint64),
+                            rng.integers(0, 2, size=n).astype(np.uint8))
+        buf = io.StringIO()
+        write_dataset(ds, buf)
+        buf = io.StringIO(buf.getvalue())
+        assert len(buf.getvalue()) > 5_000_000
+        tracemalloc.start()
+        try:
+            back = read_dataset(buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.masks.tolist() == ds.masks.tolist()
+        assert peak < 3 * 2 ** 20
 
 
 class TestLabelOracle:
