@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (LabeledDataset, LabelOracle, Point, RandomnessTape,
-                   read_dataset, write_dataset, write_trace)
+from .core import (DATA_DOMAIN, LabeledDataset, LabelOracle, Point, RandomnessTape,
+                   UnlabeledDataset, read_dataset, write_dataset, write_trace)
 from .estimator import BudgetError, estimate_learnability, query_budget_report
 from .exhaustive import (ConcentrationConfig, check_shallow_splits,
                          check_telescoping, empirical_concentration,
@@ -92,9 +92,12 @@ def cmd_gen_data(args) -> int:
     _need(args, "target", "d", "n", "out")
     target = parse_target(args.target, args.d)
     tape = RandomnessTape(args.seed)
-    ds = sample_dataset(target, args.n, tape, key="gen-data")
     if args.unlabeled:
-        ds = ds.unlabeled()
+        # The points sample_dataset draws, without evaluating the target.
+        masks = tape.uniform_masks(target.d, args.n, DATA_DOMAIN, "gen-data")
+        ds = UnlabeledDataset(target.d, masks)
+    else:
+        ds = sample_dataset(target, args.n, tape, key="gen-data")
     with open(args.out, "w", encoding="utf-8") as fh:
         write_dataset(ds, fh)
     print(f"wrote {args.out} d={args.d} n={args.n} target={args.target}")

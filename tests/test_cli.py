@@ -6,6 +6,7 @@ import statistics
 import pytest
 
 from treelab.cli import build_parser, main
+from treelab.targets import ReadOnceDNF
 from treelab.trees import parse_tree
 
 
@@ -289,6 +290,33 @@ class TestConfigAndErrors:
         code, out, err = run_cli(capsys, "train", "--t", "8", "--seed", seed,
                                  "--data", str(workdir["labeled"]))
         assert code == 1 and out == "" and err.startswith("error: ") and "seed" in err
+
+
+class TestGenData:
+    # sha256 of `gen-data --target dnf:1|2&3|4&5&6 --d 10 --n 2048 --seed 3`
+    # output, recorded when --unlabeled still labeled every point and then
+    # dropped the labels.
+    LABELED = "cb0d90164edd53535cbce8713a9291724198fba8150200b3b4e5a24a719b3773"
+    UNLABELED = "44741d90fb0bc45ba0beb92b24a4e0cc07d354143a69a0fe193bdc31fed7d3b9"
+
+    @pytest.mark.parametrize("unlabeled", [False, True])
+    def test_unlabeled_evaluates_no_target(self, tmp_path, capsys, monkeypatch, unlabeled):
+        evaluated = []
+        eval_masks = ReadOnceDNF.eval_masks
+
+        def counting(self, masks):
+            evaluated.append(len(masks))
+            return eval_masks(self, masks)
+
+        monkeypatch.setattr(ReadOnceDNF, "eval_masks", counting)
+        out = tmp_path / "data.txt"
+        code, _, _ = run_cli(capsys, "gen-data", "--target", "dnf:1|2&3|4&5&6", "--d", "10",
+                             "--n", "2048", "--seed", "3", "--out", str(out),
+                             *(["--unlabeled"] if unlabeled else []))
+        assert code == 0
+        assert sum(evaluated) == (0 if unlabeled else 2048)
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == (self.UNLABELED if unlabeled else self.LABELED)
 
 
 def _surface(parser):
