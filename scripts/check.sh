@@ -1,5 +1,6 @@
 #!/bin/sh
-# Run the library's test suite, the benchmark's own tests, then the CLI demo.
+# Run the library's test suite, the benchmark's own tests, one pass of each
+# benchmark workload, then the CLI demo.
 # The tests need two pytest invocations: tests/ and perfbench/tests/ each
 # have a conftest module that their tests import by name, so one run fails
 # collection.  Run from the repository root; extra arguments go to both
@@ -8,6 +9,12 @@ set -e
 
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors "$@"
 python -m pytest -q perfbench/tests "$@"
+# run.py exits 1 when a pass fails its checks: the train trees and traces
+# against their recorded digests, the estimate against the direct error, and
+# the CLI's outputs against the library's.
+for workload in estimate train cli; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 0 > /dev/null
+done
 # The demo keeps its artifacts for inspection; here they go in a directory
 # removed on exit.
 DEMO_TMP=$(mktemp -d)
