@@ -175,67 +175,35 @@ AnyDataset = Union[LabeledDataset, UnlabeledDataset]
 
 
 def mask_bits(masks: np.ndarray, d: int) -> np.ndarray:
-    """k x d uint8 matrix of the masks' low d bits (entry [j, i] is bit i of
-    masks[j]), unpacked from their low ceil(d/8) bytes."""
-    k = len(masks)
-    low = np.ascontiguousarray(masks, "<u8").view(np.uint8).reshape(k, 8)[:, :(d + 7) // 8]
+    """k x d uint8 matrix whose entry [j, i] is bit i of masks[j]."""
+    low = np.ascontiguousarray(masks, "<u8").view(np.uint8).reshape(-1, 8)[:, :(d + 7) // 8]
     return np.unpackbits(low, axis=1, count=d, bitorder="little")
 
 
-# Dataset text is converted a block of rows at a time, each block about this
-# many tokens whatever the dataset's n, so the working memory stays bounded.
+# Dataset text is converted in blocks of rows holding about this many tokens,
+# whatever n is, so the working memory stays bounded.
 BLOCK_TOKENS = 1 << 14
-
-# The written text of an entry or label by code, NUL-padded to three bytes:
-# 0/1 an entry -1/+1 inside a row, 2/3 the same at the end of a row, 4/5 a
-# label 0/1.
-_CELLS = np.frombuffer(b"-1 " b"1 \0" b"-1\n" b"1\n\0" b"0\n\0" b"1\n\0",
-                       np.uint8).reshape(6, 3)
-
-# Code points that str.split() separates on; every one is below U+3001, and
-# the table's last slot stands for all code points above.
+# Written text, NUL-padded to three bytes, of an entry -1/+1 inside a row
+# (codes 0/1), of one ending a row (2/3) and of a label 0/1 (4/5).
+_CELLS = np.frombuffer(b"-1 " b"1 \0" b"-1\n" b"1\n\0" b"0\n\0" b"1\n\0", np.uint8).reshape(6, 3)
+# Whether str.split() separates on a code point: all such are below U+3001,
+# and the last slot stands for every code point above.
 _SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
-
-
-def _block_rows(d: int) -> int:
-    return max(1, BLOCK_TOKENS // (d + 1))
 
 
 def write_dataset(ds: AnyDataset, fp: IO[str]) -> None:
     """Text format: first line 'd n', then one point per line as d signs in
     {-1,1}, followed by the label for labeled datasets."""
     fp.write(f"{ds.d} {ds.n}\n")
-    labeled = isinstance(ds, LabeledDataset)
-    step = _block_rows(ds.d)
+    step = max(1, BLOCK_TOKENS // (ds.d + 1))
     for lo in range(0, ds.n, step):
         codes = mask_bits(ds.masks[lo:lo + step], ds.d)
-        if labeled:
+        if isinstance(ds, LabeledDataset):
             codes = np.column_stack([codes, ds.labels[lo:lo + step] + 4])
         else:
             codes[:, -1] += 2
         text = _CELLS[codes].ravel()
         fp.write(text[text != 0].tobytes().decode("ascii"))
-
-
-def _parse_row(line: str, row: int, d: int, labeled: bool) -> tuple:
-    """(mask, label) of one data row, reading each field with int(); the label
-    is 0 for an unlabeled row."""
-    parts = line.split()
-    if len(parts) != d + labeled:
-        raise ValueError(f"row {row}: inconsistent field count")
-    mask = 0
-    for i in range(d):
-        s = int(parts[i])
-        if s == 1:
-            mask |= 1 << i
-        elif s != -1:
-            raise ValueError(f"row {row}: entry {parts[i]} not in {{-1,1}}")
-    y = 0
-    if labeled:
-        y = int(parts[d])
-        if y not in (0, 1):
-            raise ValueError(f"row {row}: label {y} not in {{0,1}}")
-    return mask, y
 
 
 def read_dataset(fp: IO[str]) -> AnyDataset:
@@ -249,7 +217,7 @@ def read_dataset(fp: IO[str]) -> AnyDataset:
     # Grown as rows arrive, so the header's n alone allocates nothing.
     masks, labels = array("Q"), bytearray()
     labeled = None
-    step = _block_rows(d)
+    step = max(1, BLOCK_TOKENS // (d + 1))
     for lo in range(0, n, step):
         lines = [fp.readline() for _ in range(min(step, n - lo))]
         if labeled is None:
@@ -270,22 +238,18 @@ def read_dataset(fp: IO[str]) -> AnyDataset:
 
 
 def _read_block(lines: list, lo: int, d: int, labeled: bool) -> tuple:
-    """Masks and labels of the rows `lines`, the first being row `lo`.
-
-    Rows in the canonical form (d tokens '1' or '-1', then a label '0' or '1')
-    are converted together; any other row goes through `_parse_row`, in row
-    order, so it is read or refused as one row at a time would be."""
+    """Masks and labels of the rows `lines`, the first being row `lo`: rows of
+    d tokens '1'/'-1' and a label '0'/'1' are converted together, any other row
+    by `_parse_row` in row order, so the first bad row raises its own error."""
     k, width = len(lines), d + labeled
-    # One element per code point; the trailing space makes every token's
-    # second code point readable.
+    # One element per code point; a trailing space makes every token's second
+    # code point readable.
     codes = np.frombuffer("".join([*lines, " "]).encode("utf-32-le", "surrogatepass"), "<u4")
-    blank = np.ones(len(codes) + 1, bool)
-    np.take(_SPACE, codes, out=blank[1:], mode="clip")
+    blank = np.concatenate(([True], np.take(_SPACE, codes, mode="clip")))
     edges = np.flatnonzero(blank[:-1] != blank[1:])
     starts, ends = edges[0::2], edges[1::2]
-    # Tokens starting before each row's end give the tokens per row.
     cuts = np.searchsorted(starts, np.cumsum(np.fromiter(map(len, lines), np.int64, k)))
-    counts = np.diff(cuts, prepend=0)
+    counts = np.diff(cuts, prepend=0)  # tokens per row
     canonical = counts == width
     tokens = np.repeat(canonical, counts)
     first = starts[tokens].reshape(-1, width)
@@ -297,15 +261,30 @@ def _read_block(lines: list, lo: int, d: int, labeled: bool) -> tuple:
         valid &= one[:, d] | ((size[:, d] == 1) & (head[:, d] == ord("0")))
     canonical[canonical] = valid
     ones = one[valid]
-    block_masks = np.zeros(k, np.uint64)
-    block_masks[canonical] = (ones[:, :d].astype(np.uint64)
-                              << np.arange(d, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
-    block_labels = np.zeros(k, np.uint8)
+    block_masks, block_labels = np.zeros(k, np.uint64), np.zeros(k, np.uint8)
+    block_masks[canonical] = ones[:, :d] @ (np.uint64(1) << np.arange(d, dtype=np.uint64))
     if labeled:
         block_labels[canonical] = ones[:, d]
     for r in np.flatnonzero(~canonical):
         block_masks[r], block_labels[r] = _parse_row(lines[r], lo + int(r), d, labeled)
     return block_masks, block_labels
+
+
+def _parse_row(line: str, row: int, d: int, labeled: bool) -> tuple:
+    """(mask, label) of one row, each field read with int(); label 0 if unlabeled."""
+    parts = line.split()
+    if len(parts) != d + labeled:
+        raise ValueError(f"row {row}: inconsistent field count")
+    mask = 0
+    for i in range(d):
+        s = int(parts[i])
+        if s not in (-1, 1):
+            raise ValueError(f"row {row}: entry {parts[i]} not in {{-1,1}}")
+        mask |= (s == 1) << i
+    y = int(parts[d]) if labeled else 0
+    if y not in (0, 1):
+        raise ValueError(f"row {row}: label {y} not in {{0,1}}")
+    return mask, y
 
 
 # ---------------------------------------------------------------------------
