@@ -7,7 +7,9 @@
 # pytest runs.
 set -e
 
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors "$@"
+# --durations lists the slowest tier-1 tests, so where the suite's time goes
+# shows on every check.
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors --durations=10 "$@"
 python -m pytest -q perfbench/tests "$@"
 # run.py exits 1 when a pass fails its checks: the train trees and traces
 # against their recorded digests, the estimate against the direct error, and

@@ -386,14 +386,15 @@ class LeafPools:
 
 
 def _partial_shuffle_take(rng: np.random.Generator, pool: np.ndarray, k: int) -> np.ndarray:
-    # Fisher-Yates, stopped after the first k positions.
-    m = len(pool)
-    pool = pool.copy()
-    swaps = rng.integers(np.arange(k), m)
-    for i in range(k):
-        j = swaps[i]
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:k]
+    # Fisher-Yates, stopped after the first k positions, replayed on
+    # positions: `moved` maps each displaced position to the one whose entry
+    # it now holds, and one gather takes the k chosen entries.
+    swaps = rng.integers(np.arange(k), len(pool))
+    take, moved = [], {}
+    for i, j in enumerate(swaps.tolist()):
+        take.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return pool[take]
 
 
 def draw_minibatch(
@@ -544,26 +545,38 @@ def read_trace(fp: IO[str]) -> RunTrace:
 class StrandTracker:
     """Tracks the current leaf of a fixed multiset of cube points while a
     partial tree grows, and the tree-size estimate they induce (mean of
-    2^depth, duplicates counted)."""
+    2^depth, duplicates counted).  `members` maps each leaf some point
+    reaches to the ascending indices of the points there; `total` is the
+    exact integer sum of 2^depth over the points."""
 
     def __init__(self, masks: np.ndarray):
         self.masks = np.asarray(masks, dtype=np.uint64)
-        self.paths = [() for _ in range(len(self.masks))]
+        self.members = {(): np.arange(len(self.masks))} if len(self.masks) else {}
+        self.total = len(self.masks)
 
     def __len__(self) -> int:
         return len(self.masks)
 
     def advance(self, split_path: LeafPath, coord: int) -> None:
         """Move every point sitting at split_path into its child."""
-        for i, p in enumerate(self.paths):
-            if p == split_path:
-                self.paths[i] = p + ((coord, sign_bit(self.masks[i], coord)),)
+        idx = self.members.pop(split_path, None)
+        if idx is None:
+            return
+        plus = ((self.masks[idx] >> np.uint64(coord)) & np.uint64(1)) == 1
+        for sign, part in ((-1, idx[~plus]), (1, idx[plus])):
+            if len(part):
+                self.members[split_path + ((coord, sign),)] = part
+        # Each point's 2^depth doubles.
+        self.total += len(idx) << len(split_path)
 
     def distinct_paths(self) -> set:
-        return set(self.paths)
+        return set(self.members)
 
     def size_estimate(self) -> float:
-        return size_from_depths(list(map(len, self.paths)))
+        """Same value as size_from_depths over the points' leaf depths."""
+        if not len(self.masks):
+            raise ValueError("size estimate over an empty strand set")
+        return self.total / len(self.masks)
 
 
 def size_from_depths(depths: Sequence[int]) -> float:

@@ -22,6 +22,13 @@ ArrayLike = Union[float, np.ndarray]
 
 EXHAUSTIVE_DIM_LIMIT = 20
 
+# Batches of at least this many rows are counted by per-byte histograms,
+# smaller ones on an unpacked bit matrix, which is faster there.
+HISTOGRAM_ROWS = 1024
+# _BYTE_BITS[v, i] is bit i of the byte value v.
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                           bitorder="little").astype(np.int64)
+
 
 def _as_value(p: ArrayLike) -> np.ndarray:
     arr = np.asarray(p, dtype=np.float64)
@@ -103,19 +110,30 @@ def batch_local_gains(impurity: ImpurityFunction, masks: np.ndarray,
     g(mean y | x_i=+1)) / 2 with means over the batch.  A coordinate that is
     constant over the batch gets gain 0 (its true gain over the leaf is 0).
 
-    Labels are in {0, 1}.  Counting is pure integer arithmetic on a k x d
-    uint8 bit matrix unpacked from the masks' low ceil(d/8) bytes (no BLAS
+    Labels are in {0, 1}.  Counting is pure integer arithmetic (no BLAS
     reductions), so the means and hence the split decisions are
-    bit-identical across platforms.  Mask bits at or above d are ignored.
+    bit-identical across platforms: on a k x d uint8 bit matrix unpacked
+    from the masks' low ceil(d/8) bytes, or for k >= HISTOGRAM_ROWS from a
+    histogram of (byte value, label) per low byte, mapped to bit counts.
+    Both give the same counts.  Mask bits at or above d are ignored.
     """
     k = len(masks)
     if k == 0:
         raise ValueError("local gain of an empty batch")
-    bits = mask_bits(masks, d)
     y = np.asarray(labels, np.int64)
-    n_pos = bits.sum(axis=0, dtype=np.int64)
+    if k < HISTOGRAM_ROWS:
+        bits = mask_bits(masks, d)
+        n_pos = bits.sum(axis=0, dtype=np.int64)
+        s_pos = bits[y == 1].sum(axis=0, dtype=np.int64)
+    else:
+        low = np.ascontiguousarray(masks, "<u8").view(np.uint8).reshape(-1, 8)
+        label_bins = y << 8
+        # One byte column at a time: a k x ceil(d/8) code matrix is too big.
+        counts = [np.bincount(low[:, c] + label_bins, minlength=512).reshape(2, 256)
+                  for c in range((d + 7) // 8)]
+        n_pos = np.concatenate([h.sum(axis=0) @ _BYTE_BITS for h in counts])[:d]
+        s_pos = np.concatenate([h[1] @ _BYTE_BITS for h in counts])[:d]
     n_neg = k - n_pos
-    s_pos = bits[y == 1].sum(axis=0, dtype=np.int64)
     ones = int(y.sum())
     s_neg = ones - s_pos
     p_pos = np.divide(s_pos, n_pos, out=np.zeros(d), where=n_pos > 0)

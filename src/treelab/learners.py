@@ -15,6 +15,7 @@ then smaller coordinate index.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -91,7 +92,9 @@ class GrowthState:
     `depth_limit` (None: no cap) and `watch(path)` holds (None: every leaf).
     `best` fetches each candidate's record once, after its spawn; leaves that
     are never candidates are never fetched.  `leaves` maps every current leaf
-    to its record (None until fetched); `frontier` holds the splittable ones.
+    to its record (None until fetched); `frontier` holds the splittable ones,
+    and a heap holds their priorities, which are distinct because each
+    contains its path, so the heap's top is the frontier's minimum.
     """
 
     def __init__(self, d: int, record: Callable[[LeafPath], LeafRecord],
@@ -105,6 +108,7 @@ class GrowthState:
         self.frontier: dict = {}
         self.trace = RunTrace(depth_cap=depth_limit)
         self._pending = [()]
+        self._heap: list = []
 
     @property
     def size(self) -> int:
@@ -118,10 +122,12 @@ class GrowthState:
                 rec = self.leaves[path] = self.record(path)
                 if rec.splittable:
                     self.frontier[path] = rec
+                    heapq.heappush(self._heap, (rec.priority, path))
         self._pending.clear()
-        if not self.frontier:
-            return None
-        return min(self.frontier.values(), key=lambda r: r.priority)
+        # Leaves split since they were pushed leave stale entries.
+        while self._heap and self._heap[0][1] not in self.frontier:
+            heapq.heappop(self._heap)
+        return self.frontier[self._heap[0][1]] if self._heap else None
 
     def apply(self, rec: LeafRecord) -> None:
         coord = rec.best_coord
@@ -133,11 +139,10 @@ class GrowthState:
             self.leaves[child] = None
             self._pending.append(child)
 
-    def grow(self, t: int, strands: Optional[np.ndarray] = None) -> float:
+    def grow(self, t: int, tracker: Optional[StrandTracker] = None) -> float:
         """Split best leaves while the size is below t and return the final
-        size: the leaf count, or with `strands` (packed cube points) the mean
-        of 2^{depth of the leaf each reaches}."""
-        tracker = None if strands is None else StrandTracker(strands)
+        size: the leaf count, or the estimate of a strand `tracker` (of cube
+        points at the root), which follows the splits."""
         size = float(self.size) if tracker is None else tracker.size_estimate()
         while size < t:
             rec = self.best()
@@ -222,5 +227,5 @@ def top_down_size_estimate(t: int, b: int, dataset: LabeledDataset,
     g = GrowthState(dataset.d, _leaf_source(dataset, impurity, b, tape), depth_limit(t))
     if strand_masks is None:
         strand_masks = tape.uniform_masks(dataset.d, b, STRAND_DOMAIN)
-    e = g.grow(t, strand_masks)
+    e = g.grow(t, StrandTracker(strand_masks))
     return TrainResult(g.complete(), g.trace, g, size_estimate=e)

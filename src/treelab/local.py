@@ -35,8 +35,8 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from .core import (STRAND_DOMAIN, LabelOracle, LeafPath, LeafPools, Point,
-                   RandomnessTape, UnlabeledDataset, draw_minibatch,
-                   path_constraint, sign_bit, size_from_depths)
+                   RandomnessTape, StrandTracker, UnlabeledDataset,
+                   draw_minibatch, sign_bit, size_from_depths)
 from .impurity import ImpurityFunction, depth_limit
 from .learners import GrowthState, LeafRecord, completion_label, leaf_record
 from .trees import Tree, leaf_depths
@@ -88,20 +88,17 @@ class LocalLearnerSession:
         return self._records[path]
 
     def _grow_forest(self) -> None:
-        strands = self.strand_masks
-
-        def watch(path: LeafPath) -> bool:
-            m, v = path_constraint(path)
-            return bool(np.any((strands & np.uint64(m)) == np.uint64(v)))
-
-        g = GrowthState(self.dataset.d, self._record, self.depth_limit, watch)
-        self._exhausted = g.grow(self.t, strands) < self.t
+        # Built here, not by g, so that `watch` holds no reference to g.
+        tracker = StrandTracker(self.strand_masks)
+        g = GrowthState(self.dataset.d, self._record, self.depth_limit,
+                        lambda path: path in tracker.members)
+        self._exhausted = g.grow(self.t, tracker) < self.t
         # Keep plain data, not g: g holds self._record, and that cycle would
         # keep the record cache alive until a garbage collection.
         self._splits = {e.path: (e.coord, e.j) for e in g.trace}
         self._steps = [(e.path, e.coord, e.size_estimate) for e in g.trace]
         self._priorities = [self._records[e.path].priority for e in g.trace]
-        self._strand_leaves = {p for p in g.leaves if watch(p)}
+        self._strand_leaves = set(tracker.members)
         self.split_choices.update(g.splits)
 
     def predict(self, x: Union[Point, int]) -> int:
@@ -110,9 +107,9 @@ class LocalLearnerSession:
             if x.d != self.dataset.d:
                 raise ValueError(f"point dimension {x.d} != dataset dimension "
                                  f"{self.dataset.d}")
-            x_mask = x.mask
         else:
-            x_mask = int(x)
+            x = Point(self.dataset.d, int(x))
+        x_mask = x.mask
         if self._splits is None:
             self._grow_forest()
         steps, leaf, j = self._steps, (), 0

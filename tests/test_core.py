@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from treelab.core import (BLOCK_TOKENS, MAX_DIM, LabeledDataset, LabelOracle,
                           LeafPools, Point, RandomnessTape, RunTrace, StrandTracker,
-                          UnlabeledDataset, consistent_indices, draw_minibatch,
-                          encode_path,
+                          UnlabeledDataset, _partial_shuffle_take,
+                          consistent_indices, draw_minibatch, encode_path,
                           parse_path, path_constraint, point_reaches,
-                          read_dataset, read_trace, write_dataset, write_trace)
+                          read_dataset, read_trace, sign_bit, size_from_depths,
+                          write_dataset, write_trace)
 from treelab.targets import Dictator
 
 
@@ -163,6 +164,32 @@ class TestMinibatch:
         sd = (trials * p * (1 - p)) ** 0.5
         for i, c in counts.items():
             assert abs(c - trials * p) <= 5 * sd, (i, c)
+
+
+def _swap_loop_take(rng, pool, k):
+    """The earlier partial Fisher-Yates, swapping pool entries in a copy;
+    kept as the reference the position replay must match."""
+    pool = pool.copy()
+    swaps = rng.integers(np.arange(k), len(pool))
+    for i in range(k):
+        j = swaps[i]
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
+
+
+class TestPartialShuffle:
+    @given(st.integers(1, 5000), st.floats(0, 1), st.sampled_from([np.int32, np.int64]),
+           st.integers(0, 2 ** 64 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_swap_loop(self, m, frac, dtype, seed):
+        k = max(1, round(frac * m))
+        pool = np.sort(np.random.default_rng(seed).choice(4 * m, m, replace=False)).astype(dtype)
+        before = pool.copy()
+        got = _partial_shuffle_take(np.random.default_rng(seed), pool, k)
+        want = _swap_loop_take(np.random.default_rng(seed), pool, k)
+        assert got.dtype == want.dtype == dtype
+        assert got.tolist() == want.tolist()
+        assert np.array_equal(pool, before)
 
 
 @st.composite
@@ -553,7 +580,57 @@ class TestRunTrace:
             tr.validate()
 
 
+@st.composite
+def strand_growth(draw):
+    """Strand masks, duplicates likely, and a sequence of splits of a growing
+    tree; some split leaves hold no strand."""
+    d = draw(st.integers(1, 7))
+    masks = draw(st.lists(st.integers(0, (1 << d) - 1), min_size=1, max_size=40))
+    leaves, splits = [()], []
+    for _ in range(draw(st.integers(0, 30))):
+        path = leaves[draw(st.integers(0, len(leaves) - 1))]
+        free = [i for i in range(d) if i not in {c for c, _ in path}]
+        if free:
+            coord = draw(st.sampled_from(free))
+            leaves.remove(path)
+            leaves += [path + ((coord, -1),), path + ((coord, 1),)]
+            splits.append((path, coord))
+    return np.array(masks, np.uint64), splits
+
+
 class TestStrandTracker:
+    @given(strand_growth())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_brute_force_leaves(self, case):
+        masks, splits = case
+        tracker = StrandTracker(masks)
+        tree = {}
+        for path, coord in [(None, None)] + splits:
+            if path is not None:
+                tracker.advance(path, coord)
+                tree[path] = coord
+            # Each strand's leaf, walked from the root through the splits.
+            leaves = []
+            for m in masks.tolist():
+                leaf = ()
+                while leaf in tree:
+                    leaf += ((tree[leaf], sign_bit(m, tree[leaf])),)
+                leaves.append(leaf)
+            members = {}
+            for i, leaf in enumerate(leaves):
+                members.setdefault(leaf, []).append(i)
+            assert {p: idx.tolist() for p, idx in tracker.members.items()} == members
+            assert tracker.distinct_paths() == set(leaves)
+            assert tracker.size_estimate() == size_from_depths(list(map(len, leaves)))
+
+    def test_empty_strand_set_rejected(self):
+        tracker = StrandTracker(np.zeros(0, np.uint64))
+        tracker.advance((), 0)
+        with pytest.raises(ValueError, match="empty strand set"):
+            tracker.size_estimate()
+        with pytest.raises(ValueError, match="empty strand set"):
+            size_from_depths([])
+
     def test_advance_and_estimate(self):
         tracker = StrandTracker(np.array([0b00, 0b01, 0b11], dtype=np.uint64))
         assert tracker.size_estimate() == 1.0

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treelab import impurity
 from treelab.core import MAX_DIM, Minibatch
 from treelab.exhaustive import local_gain_reference
-from treelab.impurity import (ENTROPY, GINI, KEARNS_MANSOUR, TheoryParams,
+from treelab.impurity import (ENTROPY, GINI, HISTOGRAM_ROWS, KEARNS_MANSOUR,
+                              TheoryParams,
                               batch_local_gains, builtin_impurities, depth_cap,
                               g_impurity, get_impurity, local_gain, purity_gain,
                               recommended_params, strand_count_for_accuracy,
@@ -189,6 +191,33 @@ class TestGainCounting:
                 want = _int64_gains(g, masks, labels, i + 1)
                 assert batch_local_gains(g, masks, labels, i + 1).tobytes() == want.tobytes()
                 assert local_gain(g, batch, i) == want[i]
+
+
+    @pytest.mark.parametrize("k", [HISTOGRAM_ROWS - 1, HISTOGRAM_ROWS,
+                                   3 * HISTOGRAM_ROWS + 5])
+    def test_histogram_counts_equal_unpacked_counts(self, k, monkeypatch):
+        # Batches of HISTOGRAM_ROWS rows or more are counted by byte
+        # histograms; raising the threshold above k forces the unpacked
+        # bit matrix on the same batch.
+        rng = np.random.default_rng(k)
+        for d in range(1, MAX_DIM + 1):
+            # Full 64-bit masks: bits at and above d must be ignored.
+            masks = rng.integers(0, 1 << 63, size=k, dtype=np.uint64) << np.uint64(1)
+            masks |= rng.integers(0, 2, size=k, dtype=np.uint64)
+            hi, lo = rng.integers(0, d, size=2)
+            masks |= np.uint64(1 << int(hi))
+            if lo != hi:
+                masks &= ~np.uint64(1 << int(lo))
+            for labels in (rng.integers(0, 2, size=k), np.zeros(k), np.ones(k)):
+                labels = labels.astype(np.uint8)
+                for g in builtin_impurities():
+                    got = batch_local_gains(g, masks, labels, d)
+                    with monkeypatch.context() as m:
+                        m.setattr(impurity, "HISTOGRAM_ROWS", k + 1)
+                        unpacked = batch_local_gains(g, masks, labels, d)
+                    assert got.dtype == unpacked.dtype == np.float64
+                    assert got.tobytes() == unpacked.tobytes(), (d, k)
+                    assert got.tobytes() == _int64_gains(g, masks, labels, d).tobytes()
 
 
 class TestPurityGain:

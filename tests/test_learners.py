@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import full_truth_table_dataset, monotone_target
 from treelab.core import LabeledDataset, Minibatch, RandomnessTape
 from treelab.exhaustive import check_shallow_splits
 from treelab.impurity import (GINI, ImpurityFunction, depth_cap, depth_limit,
                               g_impurity)
-from treelab.learners import (LeafRecord, minibatch_top_down, score_leaf,
-                              top_down_full, top_down_size_estimate)
+from treelab.learners import (GrowthState, LeafRecord, _leaf_source,
+                              minibatch_top_down, score_leaf, top_down_full,
+                              top_down_size_estimate)
 from treelab.targets import Dictator, random_truth_table, sample_dataset
 from treelab.trees import serialize_tree
 
@@ -203,6 +206,34 @@ class TestArgmaxTieBreaking:
         best = min(recs, key=lambda r: r.priority)
         assert best.path == ((2, -1),)
         assert best.best_coord == 0  # coords 0 and 1 tie... 0 is smaller
+
+
+class TestFrontierHeap:
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([None, 0, 2, 4]),
+           st.booleans(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_best_equals_linear_min_over_frontier(self, seed, limit, watched, full):
+        # A truth table over few coordinates gives many tied gains, so the
+        # order often rests on the path tie-break.
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(3, 8))
+        ds = full_truth_table_dataset(random_truth_table(rng, d))
+        tape = RandomnessTape(seed)
+        source = _leaf_source(ds, GINI, *(() if full else (int(rng.integers(2, 32)), tape)))
+        skip = int(rng.integers(0, d))
+        watch = (lambda path: (skip, -1) not in path) if watched else None
+        g = GrowthState(d, source, limit, watch)
+        order = []
+        while True:
+            rec = g.best()
+            if rec is None:
+                assert not g.frontier
+                break
+            # The earlier selection rule, kept here as the reference.
+            assert rec is min(g.frontier.values(), key=lambda r: r.priority)
+            order.append(rec.path)
+            g.apply(rec)
+        assert len(order) == len(g.splits) == len(set(order))
 
 
 class TestTopDownSizeEstimate:

@@ -157,6 +157,25 @@ class TestLocalLearner:
         with pytest.raises(ValueError):
             session.predict(Point(5, 0))
 
+    @pytest.mark.parametrize("x", [-1, 64, 10 ** 30])
+    def test_out_of_range_packed_point_rejected(self, x):
+        target, tape, labeled, oracle = _setup(3, d=6, n=512)
+        session = LocalLearnerSession(8, 16, labeled.unlabeled(), oracle, GINI, tape)
+        with pytest.raises(ValueError, match=f"mask {x} out of range for d=6"):
+            session.predict(x)
+        with pytest.raises(ValueError, match=f"mask {x} out of range for d=6"):
+            Point(6, x)
+
+    def test_in_range_packed_points_unchanged(self):
+        target, tape, labeled, oracle = _setup(3, d=6, n=512)
+        glob = top_down_size_estimate(8, 16, labeled, GINI, tape)
+        session = LocalLearnerSession(8, 16, labeled.unlabeled(), oracle, GINI, tape)
+        xs = np.arange(64, dtype=np.uint64)
+        want = evaluate_masks(glob.tree, xs).tolist()
+        assert [session.predict(int(x)) for x in xs] == want
+        assert [session.predict(x) for x in xs] == want
+        assert [session.predict(Point(6, int(x))) for x in xs] == want
+
     def test_deep_query_strand_freezes_but_terminates(self):
         # Majority keeps every leaf impure, so strands can hit the depth cap;
         # the loop must still terminate and agree with the global tree.
