@@ -1,6 +1,6 @@
 #!/bin/sh
 # Run the library's test suite, the benchmark's own tests, one pass of each
-# benchmark workload, then the CLI demo.
+# benchmark workload, the label-complexity experiment, then the CLI demo.
 # The tests need two pytest invocations: tests/ and perfbench/tests/ each
 # have a conftest module that their tests import by name, so one run fails
 # collection.  Run from the repository root; extra arguments go to both
@@ -17,6 +17,8 @@ python -m pytest -q perfbench/tests "$@"
 for workload in estimate train cli; do
     python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 0 > /dev/null
 done
+# The label-complexity experiment the README describes, at a small t and b.
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 scripts/label_complexity.py --t 16 --b 32 > /dev/null
 # The demo keeps its artifacts for inspection; here they go in a directory
 # removed on exit.
 DEMO_TMP=$(mktemp -d)

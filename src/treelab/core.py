@@ -421,8 +421,9 @@ def draw_minibatch(
         idx = _partial_shuffle_take(rng, pool, b)
     else:
         idx = pool
+    masks = dataset.masks[idx]  # before labels, which lowers full-batch peak RSS
     labels = dataset.labels[idx] if isinstance(dataset, LabeledDataset) else None
-    return Minibatch(leaf_path, idx, dataset.masks[idx], labels)
+    return Minibatch(leaf_path, idx, masks, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +462,6 @@ class LabelOracle:
             self.query_count += fresh
             self.phase_counts[self.phase] = self.phase_counts.get(self.phase, 0) + fresh
         return self._labels[indices]
-
-    def reveal_batch(self, batch: Minibatch) -> Minibatch:
-        """Labeled copy of an unlabeled minibatch, metered through the oracle."""
-        return Minibatch(batch.leaf_path, batch.indices, batch.masks,
-                         self.labels_for(batch.indices))
 
 
 # ---------------------------------------------------------------------------
@@ -573,16 +569,8 @@ class StrandTracker:
         return set(self.members)
 
     def size_estimate(self) -> float:
-        """Same value as size_from_depths over the points' leaf depths."""
+        """Mean of 2^depth over the points: the exact integer total / count."""
         if not len(self.masks):
             raise ValueError("size estimate over an empty strand set")
         return self.total / len(self.masks)
 
-
-def size_from_depths(depths: Sequence[int]) -> float:
-    """Mean of 2^depth over the leaf depths of sample points (duplicates
-    counted), computed exactly in integers: unbiased for the leaf count when
-    the points are uniform on the cube."""
-    if len(depths) == 0:
-        raise ValueError("size estimate over an empty strand set")
-    return sum(1 << k for k in depths) / len(depths)

@@ -32,25 +32,24 @@ EXACT_TOL = 1e-12
 
 
 def evaluate_tree_reference(tree: Tree, x: Point) -> int:
-    """Path-following evaluator over the unpacked sign vector; kept separate
-    from the mask-walking production evaluator on purpose."""
+    """Path-following evaluator over the point's signs, read one coordinate
+    at a time; kept separate from the mask-walking production evaluator on
+    purpose."""
     if x.d != tree.d:
         raise ValueError("dimension mismatch")
-    signs = list(x.signs)
     node = tree.root
     while isinstance(node, Split):
-        node = node.pos if signs[node.coord] == 1 else node.neg
+        node = node.pos if x.sign(node.coord) == 1 else node.neg
     if node.label is None:
         raise ValueError("tree has unlabeled leaves")
     return node.label
 
 
 def leaf_of_reference(tree: Tree, x: Point) -> LeafPath:
-    signs = list(x.signs)
     node = tree.root
     path: LeafPath = ()
     while isinstance(node, Split):
-        s = signs[node.coord]
+        s = x.sign(node.coord)
         path = path + ((node.coord, s),)
         node = node.pos if s == 1 else node.neg
     return path

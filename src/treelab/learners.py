@@ -22,9 +22,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (STRAND_DOMAIN, LabeledDataset, LeafPath, LeafPools,
-                   Minibatch, RandomnessTape, RunTrace, StrandTracker,
-                   draw_minibatch, path_coords)
+from .core import (STRAND_DOMAIN, AnyDataset, LabeledDataset, LabelOracle,
+                   LeafPath, LeafPools, Minibatch, RandomnessTape, RunTrace,
+                   StrandTracker, draw_minibatch, path_coords)
 from .impurity import ImpurityFunction, batch_local_gains, depth_limit
 from .trees import Tree, tree_from_splits
 
@@ -72,12 +72,6 @@ def score_leaf(impurity: ImpurityFunction, batch: Minibatch, d: int):
     return int(avail[k]), float(gains[k])
 
 
-def leaf_record(impurity: ImpurityFunction, batch: Minibatch, d: int) -> LeafRecord:
-    """The scored record of the leaf a labeled batch was drawn for."""
-    coord, gain = score_leaf(impurity, batch, d)
-    return LeafRecord(batch.leaf_path, batch, coord, gain)
-
-
 def completion_label(batch: Minibatch) -> int:
     """round(mean batch label), with round(1/2) = 1; empty batch -> 0."""
     if batch.size == 0 or batch.labels is None:
@@ -86,15 +80,15 @@ def completion_label(batch: Minibatch) -> int:
 
 
 class GrowthState:
-    """Greedy growth from a leaf source: `record(path)` returns a leaf's
-    scored record (from the whole dataset, a path-keyed minibatch, or
-    oracle-revealed labels).  A leaf is a split candidate when it is within
-    `depth_limit` (None: no cap) and `watch(path)` holds (None: every leaf).
-    `best` fetches each candidate's record once, after its spawn; leaves that
-    are never candidates are never fetched.  `leaves` maps every current leaf
-    to its record (None until fetched); `frontier` holds the splittable ones,
-    and a heap holds their priorities, which are distinct because each
-    contains its path, so the heap's top is the frontier's minimum.
+    """Greedy growth from a leaf source (see leaf_source): `record(path)`
+    returns a leaf's scored record.  A leaf is a split candidate when it is
+    within `depth_limit` (None: no cap) and `watch(path)` holds (None: every
+    leaf).  `best` fetches each candidate's record once, after its spawn;
+    leaves that are never candidates are never fetched.  `leaves` maps every
+    current leaf to its record (None until fetched); `frontier` holds the
+    splittable ones, and a heap holds their priorities, which are distinct
+    because each contains its path, so the heap's top is the frontier's
+    minimum.
     """
 
     def __init__(self, d: int, record: Callable[[LeafPath], LeafRecord],
@@ -170,19 +164,19 @@ class TrainResult:
     size_estimate: Optional[float] = None
 
 
-def _leaf_source(dataset: LabeledDataset, impurity: ImpurityFunction,
-                 b: Optional[int] = None, tape: Optional[RandomnessTape] = None):
-    """record(path) scoring each leaf on its path-keyed minibatch of size b,
-    or on every consistent point when b is None."""
+def leaf_source(dataset: AnyDataset, impurity: ImpurityFunction, b: int,
+                tape: Optional[RandomnessTape], oracle: Optional[LabelOracle] = None):
+    """record(path) scoring each leaf on its path-keyed minibatch of size b
+    (every consistent point when at most b are), labeled by `oracle` when
+    given, else by the dataset."""
     pools = LeafPools(dataset.masks)
 
     def record(path: LeafPath) -> LeafRecord:
-        if b is None:
-            idx = pools(path)
-            batch = Minibatch(path, idx, dataset.masks[idx], dataset.labels[idx])
-        else:
-            batch = draw_minibatch(dataset, path, b, tape, pool=pools(path))
-        return leaf_record(impurity, batch, dataset.d)
+        batch = draw_minibatch(dataset, path, b, tape, pool=pools(path))
+        if oracle is not None:
+            batch.labels = oracle.labels_for(batch.indices)
+        coord, gain = score_leaf(impurity, batch, dataset.d)
+        return LeafRecord(path, batch, coord, gain)
 
     return record
 
@@ -195,7 +189,7 @@ def top_down_full(t: int, dataset: LabeledDataset,
         raise ValueError(f"tree size target must be >= 1, got {t}")
     if dataset.n == 0:
         raise ValueError("full-batch learner needs a non-empty dataset")
-    g = GrowthState(dataset.d, _leaf_source(dataset, impurity), None)
+    g = GrowthState(dataset.d, leaf_source(dataset, impurity, dataset.n, None), None)
     g.grow(t)
     return TrainResult(g.complete(), g.trace, g)
 
@@ -208,7 +202,7 @@ def minibatch_top_down(t: int, b: int, dataset: LabeledDataset,
     no splittable leaf of legal depth remains).  t < 2 degenerates to the
     size-1 completion; an empty dataset yields a single leaf labeled 0."""
     t = max(int(t), 1)
-    g = GrowthState(dataset.d, _leaf_source(dataset, impurity, b, tape), depth_limit(t))
+    g = GrowthState(dataset.d, leaf_source(dataset, impurity, b, tape), depth_limit(t))
     g.grow(t)
     return TrainResult(g.complete(), g.trace, g)
 
@@ -224,7 +218,7 @@ def top_down_size_estimate(t: int, b: int, dataset: LabeledDataset,
     strand_masks overrides the strand draw (diagnostics: passing the whole
     cube makes the estimate exact, so the loop stops at size t exactly)."""
     t = max(int(t), 1)
-    g = GrowthState(dataset.d, _leaf_source(dataset, impurity, b, tape), depth_limit(t))
+    g = GrowthState(dataset.d, leaf_source(dataset, impurity, b, tape), depth_limit(t))
     if strand_masks is None:
         strand_masks = tape.uniform_masks(dataset.d, b, STRAND_DOMAIN)
     e = g.grow(t, StrandTracker(strand_masks))

@@ -30,27 +30,47 @@ never become candidates.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Sequence, Union
 
 import numpy as np
 
-from .core import (STRAND_DOMAIN, LabelOracle, LeafPath, LeafPools, Point,
-                   RandomnessTape, StrandTracker, UnlabeledDataset,
-                   draw_minibatch, sign_bit, size_from_depths)
+# draw_minibatch is unused here, but perfbench/tests/test_bench.py checks its rebinding.
+from .core import (STRAND_DOMAIN, LabelOracle, Point, RandomnessTape,
+                   StrandTracker, UnlabeledDataset, draw_minibatch, sign_bit)
 from .impurity import ImpurityFunction, depth_limit
-from .learners import GrowthState, LeafRecord, completion_label, leaf_record
-from .trees import Tree, leaf_depths
+from .learners import GrowthState, completion_label, leaf_source
+from .trees import Tree, leaf_paths
+
+
+def _strand_masks(d: int, strand_points: Sequence) -> np.ndarray:
+    """Packed masks of Points of dimension d or of integer masks in [0, 2^d)."""
+    if isinstance(strand_points, np.ndarray) and strand_points.dtype.kind in "iu":
+        if len(strand_points) and not (0 <= int(strand_points.min())
+                                       and int(strand_points.max()) < 1 << d):
+            raise ValueError(f"strand mask out of range for d={d}")
+        return strand_points.astype(np.uint64)
+    masks = []
+    for p in strand_points:
+        if isinstance(p, Point) and p.d != d:
+            raise ValueError(f"point dimension {p.d} != tree dimension {d}")
+        if not isinstance(p, (Point, int, np.integer)):
+            raise ValueError(f"strand mask {p!r} is not an integer")
+        masks.append(p.mask if isinstance(p, Point) else Point(d, int(p)).mask)
+    return np.array(masks, dtype=np.uint64)
 
 
 def estimate_size(tree: Tree, strand_points: Sequence) -> float:
     """Mean of 2^{leaf depth} over the sample points (duplicates counted);
-    unbiased for the leaf count.  Accepts Points or packed masks."""
-    if isinstance(strand_points, np.ndarray):
-        masks = strand_points.astype(np.uint64)
-    else:
-        masks = np.array([p.mask if isinstance(p, Point) else int(p)
-                          for p in strand_points], dtype=np.uint64)
-    return size_from_depths(leaf_depths(tree, masks).tolist())
+    unbiased for the leaf count.  Accepts Points or packed masks.  The
+    tree's splits are replayed, parents first, through a StrandTracker."""
+    tracker = StrandTracker(_strand_masks(tree.d, strand_points))
+    # Each split is inserted with the first leaf under it, after its parent.
+    splits = {path[:k]: path[k][0] for path, _ in leaf_paths(tree)
+              for k in range(len(path))}
+    for path, coord in splits.items():
+        tracker.advance(path, coord)
+    return tracker.size_estimate()
 
 
 class LocalLearnerSession:
@@ -67,25 +87,13 @@ class LocalLearnerSession:
         if b < 1:
             raise ValueError(f"batch size must be >= 1, got {b}")
         self.t = max(int(t), 1)
-        self.b = b
         self.dataset = dataset
-        self.oracle = oracle
-        self.impurity = impurity
-        self.tape = tape
         self.depth_limit = depth_limit(self.t)
         self.strand_masks = tape.uniform_masks(dataset.d, b, STRAND_DOMAIN)
-        self._records: dict = {}
-        self._pools = LeafPools(dataset.masks)
+        self._record = functools.cache(leaf_source(dataset, impurity, b, tape, oracle))
         self._splits = None
         self.split_choices: dict = {}
         self.last_trace: List[tuple] = []
-
-    def _record(self, path: LeafPath) -> LeafRecord:
-        if path not in self._records:
-            batch = self.oracle.reveal_batch(draw_minibatch(
-                self.dataset, path, self.b, self.tape, pool=self._pools(path)))
-            self._records[path] = leaf_record(self.impurity, batch, self.dataset.d)
-        return self._records[path]
 
     def _grow_forest(self) -> None:
         # Built here, not by g, so that `watch` holds no reference to g.
@@ -93,11 +101,10 @@ class LocalLearnerSession:
         g = GrowthState(self.dataset.d, self._record, self.depth_limit,
                         lambda path: path in tracker.members)
         self._exhausted = g.grow(self.t, tracker) < self.t
-        # Keep plain data, not g: g holds self._record, and that cycle would
-        # keep the record cache alive until a garbage collection.
+        # Keep only what the walk reads; g's leaf and frontier maps are dropped.
         self._splits = {e.path: (e.coord, e.j) for e in g.trace}
         self._steps = [(e.path, e.coord, e.size_estimate) for e in g.trace]
-        self._priorities = [self._records[e.path].priority for e in g.trace]
+        self._priorities = [self._record(e.path).priority for e in g.trace]
         self._strand_leaves = set(tracker.members)
         self.split_choices.update(g.splits)
 

@@ -142,23 +142,6 @@ def evaluate_masks(tree: Tree, masks: np.ndarray) -> np.ndarray:
     return out
 
 
-def leaf_depths(tree: Tree, masks: np.ndarray) -> np.ndarray:
-    """Depth of the leaf each packed point reaches."""
-    masks = np.asarray(masks, dtype=np.uint64)
-    out = np.zeros(len(masks), dtype=np.int64)
-
-    def rec(node: Node, idx: np.ndarray, depth: int):
-        if isinstance(node, Leaf):
-            out[idx] = depth
-            return
-        bit = (masks[idx] >> np.uint64(node.coord)) & np.uint64(1)
-        rec(node.neg, idx[bit == 0], depth + 1)
-        rec(node.pos, idx[bit == 1], depth + 1)
-
-    rec(tree.root, np.arange(len(masks)), 0)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Construction helpers
 # ---------------------------------------------------------------------------

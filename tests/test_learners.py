@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import full_truth_table_dataset, monotone_target
-from treelab.core import LabeledDataset, Minibatch, RandomnessTape
+from treelab.core import LabeledDataset, LeafPools, Minibatch, RandomnessTape
 from treelab.exhaustive import check_shallow_splits
 from treelab.impurity import (GINI, ImpurityFunction, depth_cap, depth_limit,
                               g_impurity)
-from treelab.learners import (GrowthState, LeafRecord, _leaf_source,
+from treelab.learners import (GrowthState, LeafRecord, leaf_source,
                               minibatch_top_down, score_leaf, top_down_full,
                               top_down_size_estimate)
 from treelab.targets import Dictator, random_truth_table, sample_dataset
@@ -208,6 +208,29 @@ class TestArgmaxTieBreaking:
         assert best.best_coord == 0  # coords 0 and 1 tie... 0 is smaller
 
 
+class TestLeafSource:
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_full_batch_record_is_every_consistent_point(self, seed):
+        rng = np.random.default_rng(seed)
+        d, n = int(rng.integers(1, 8)), int(rng.integers(1, 300))
+        ds = LabeledDataset(d, rng.integers(0, 1 << d, n, dtype=np.uint64),
+                            rng.integers(0, 2, n, dtype=np.uint8))
+        res = top_down_full(int(rng.integers(1, 16)), ds, GINI)
+        record = leaf_source(ds, GINI, ds.n, None)
+        for path in [*res.growth.splits, *res.growth.leaves]:
+            rec = record(path)
+            # The earlier full-batch record, kept here as the reference.
+            pool = LeafPools(ds.masks)(path)
+            old = Minibatch(path, pool, ds.masks[pool], ds.labels[pool])
+            assert rec.batch.leaf_path == rec.path == path
+            for got, want in ((rec.batch.indices, old.indices),
+                              (rec.batch.masks, old.masks),
+                              (rec.batch.labels, old.labels)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert (rec.best_coord, rec.best_local_gain) == score_leaf(GINI, old, d)
+
+
 class TestFrontierHeap:
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([None, 0, 2, 4]),
            st.booleans(), st.booleans())
@@ -219,7 +242,7 @@ class TestFrontierHeap:
         d = int(rng.integers(3, 8))
         ds = full_truth_table_dataset(random_truth_table(rng, d))
         tape = RandomnessTape(seed)
-        source = _leaf_source(ds, GINI, *(() if full else (int(rng.integers(2, 32)), tape)))
+        source = leaf_source(ds, GINI, ds.n if full else int(rng.integers(2, 32)), tape)
         skip = int(rng.integers(0, d))
         watch = (lambda path: (skip, -1) not in path) if watched else None
         g = GrowthState(d, source, limit, watch)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treelab.learners
 from conftest import monotone_target
 from treelab.core import LabelOracle, Point, RandomnessTape, path_constraint
 from treelab.exhaustive import exact_size_expectation
@@ -10,7 +11,8 @@ from treelab.impurity import GINI, depth_cap, depth_limit
 from treelab.learners import GrowthState, top_down_size_estimate
 from treelab.local import LocalLearnerSession, estimate_size, local_learner
 from treelab.targets import Majority, random_truth_table, sample_dataset
-from treelab.trees import Leaf, Split, Tree, evaluate_masks, random_partial_tree
+from treelab.trees import (Leaf, Split, Tree, evaluate_masks, leaf_of,
+                           random_partial_tree)
 
 
 class TestEstimateSize:
@@ -27,6 +29,37 @@ class TestEstimateSize:
     def test_empty_strands_rejected(self):
         with pytest.raises(ValueError):
             estimate_size(Tree(2, Leaf(0)), [])
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_brute_force_mean(self, seed, d, data):
+        rng = np.random.default_rng(seed)
+        tree = random_partial_tree(rng, d, int(rng.integers(1, 40)))
+        masks = data.draw(st.lists(st.integers(0, (1 << d) - 1), min_size=1, max_size=30))
+        masks += masks[:len(masks) // 2]
+        # The earlier formula, kept here as the reference.
+        want = sum(1 << len(leaf_of(tree, Point(d, m))) for m in masks) / len(masks)
+        assert estimate_size(tree, masks) == want
+        assert estimate_size(tree, [Point(d, m) for m in masks]) == want
+        assert estimate_size(tree, np.array(masks, np.uint64)) == want
+        assert estimate_size(tree, np.array(masks, np.int64)) == want
+        assert estimate_size(tree, [np.uint64(m) for m in masks]) == want
+
+    @pytest.mark.parametrize("points", [
+        [Point(6, 63), Point(6, 1)],
+        [2 ** 40 + 3, 16],
+        np.array([2 ** 40 + 3, 16], np.uint64),
+        [16],
+        [-1],
+        np.array([3, -1]),
+        [2.0],
+        np.array([1.0, 3.0]),
+        ["3"],
+    ])
+    def test_points_outside_the_cube_rejected(self, points):
+        tree = Tree(4, Split(0, Leaf(0), Split(2, Leaf(0), Leaf(1))))
+        with pytest.raises(ValueError):
+            estimate_size(tree, points)
 
     def test_unbiased_over_full_cube_matches_reference(self):
         rng = np.random.default_rng(0)
@@ -115,6 +148,20 @@ class TestLocalLearner:
         ]
         got = [(path, coord) for path, coord, _ in session.last_trace]
         assert got == expected
+
+    def test_each_leaf_is_fetched_once(self, monkeypatch):
+        target, tape, labeled, oracle = _setup(6)
+        drawn, draw = [], treelab.learners.draw_minibatch
+
+        def counted(dataset, path, *args, **kwargs):
+            drawn.append(path)
+            return draw(dataset, path, *args, **kwargs)
+
+        monkeypatch.setattr(treelab.learners, "draw_minibatch", counted)
+        session = LocalLearnerSession(32, 64, labeled.unlabeled(), oracle, GINI, tape)
+        for m in tape.uniform_masks(12, 50, "probe"):
+            session.predict(int(m))
+        assert 0 < len(drawn) == len(set(drawn)) == oracle.batches_drawn
 
     def test_repeat_predict_costs_no_labels(self):
         target, tape, labeled, oracle = _setup(3)

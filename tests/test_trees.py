@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from treelab.core import Point
 from treelab.exhaustive import evaluate_tree_reference, leaf_of_reference
 from treelab.trees import (Leaf, Split, Tree, count_leaves, evaluate_masks,
-                           evaluate_tree, leaf_depths, leaf_of, leaf_paths,
+                           evaluate_tree, leaf_of, leaf_paths,
                            parse_tree, random_partial_tree, relabel,
                            serialize_tree, split_leaf, tree_from_splits)
 
@@ -61,8 +61,6 @@ class TestEvaluate:
         masks = np.arange(64, dtype=np.uint64)
         vec = evaluate_masks(tree, masks)
         assert all(vec[m] == evaluate_tree(tree, Point(6, m)) for m in range(64))
-        deps = leaf_depths(tree, masks)
-        assert all(deps[m] == len(leaf_of(tree, Point(6, m))) for m in range(64))
 
 
 class TestLeafOf:
