@@ -24,3 +24,5 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 scripts/label_complexity.py --
 DEMO_TMP=$(mktemp -d)
 trap 'rm -rf "$DEMO_TMP"' EXIT
 TMPDIR=$DEMO_TMP sh scripts/demo.sh
+# Every change reports the library's line count the same way.
+wc -l src/treelab/*.py | tail -1

@@ -13,9 +13,7 @@ Usage: python3 scripts/label_complexity.py [--t 32] [--b 64] [--seed 0]
 import argparse
 import sys
 
-import numpy as np
-
-from treelab.core import LabeledDataset, LabelOracle, RandomnessTape
+from treelab.core import LabelOracle, RandomnessTape
 from treelab.estimator import estimate_learnability
 from treelab.impurity import get_impurity
 from treelab.learners import top_down_size_estimate
@@ -43,8 +41,7 @@ def main() -> int:
         unlabeled = labeled.unlabeled()
         test = sample_dataset(target, args.test_n, tape, key=f"lc-test-{n}")
         oracle = LabelOracle(target, unlabeled)
-        rep = estimate_learnability(args.t, args.b, unlabeled, oracle,
-                                    LabeledDataset(d, test.masks, test.labels),
+        rep = estimate_learnability(args.t, args.b, unlabeled, oracle, test,
                                     impurity, tape)
         glob = top_down_size_estimate(args.t, args.b, labeled, impurity, tape)
         true_err = exact_error(target, glob.tree)

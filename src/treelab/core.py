@@ -48,6 +48,8 @@ class Point:
 
     def __post_init__(self):
         _check_dim(self.d)
+        if not isinstance(self.mask, (int, np.integer)) or isinstance(self.mask, bool):
+            raise ValueError(f"mask {self.mask!r} is not an integer")
         if not 0 <= self.mask < (1 << self.d):
             raise ValueError(f"mask {self.mask} out of range for d={self.d}")
 
@@ -67,6 +69,29 @@ class Point:
 
     def sign(self, i: int) -> int:
         return 1 if (self.mask >> i) & 1 else -1
+
+
+def as_masks(d: int, points) -> np.ndarray:
+    """The uint64 masks of a sequence of Points of dimension d or of integer
+    masks in [0, 2^d) (Python or numpy integers, or an integer array, which
+    is not copied when it is uint64).  Any other value raises ValueError."""
+    masks = np.asarray(points)
+    if masks.ndim != 1:
+        raise ValueError("masks must be one-dimensional")
+    if masks.dtype.kind not in "iu":
+        # Points, integers wider than 64 bits, or a value to reject: checked
+        # one at a time by Point.
+        points = [p if isinstance(p, Point) else Point(d, p) for p in points]
+        for p in points:
+            if p.d != d:
+                raise ValueError(f"point dimension {p.d} != {d}")
+        return np.array([p.mask for p in points], np.uint64)
+    if len(masks):
+        low = int(masks.min()) if masks.dtype.kind == "i" else 0
+        high = int(masks.max())
+        if low < 0 or high >= 1 << d:
+            raise ValueError(f"mask {low if low < 0 else high} out of range for d={d}")
+    return masks.astype(np.uint64, copy=False)
 
 
 def sign_bit(mask: int, coord: int) -> int:
@@ -139,11 +164,7 @@ class UnlabeledDataset:
 
     def __post_init__(self):
         _check_dim(self.d)
-        self.masks = np.asarray(self.masks, dtype=np.uint64)
-        if self.masks.ndim != 1:
-            raise ValueError("masks must be one-dimensional")
-        if self.n and int(self.masks.max(initial=0)) >= (1 << self.d):
-            raise ValueError(f"mask out of range for d={self.d}")
+        self.masks = as_masks(self.d, self.masks)
 
     @property
     def n(self) -> int:
@@ -161,11 +182,12 @@ class LabeledDataset(UnlabeledDataset):
 
     def __post_init__(self):
         super().__post_init__()
-        self.labels = np.asarray(self.labels, dtype=np.uint8)
-        if len(self.labels) != self.n:
+        labels = np.asarray(self.labels)
+        if labels.shape != self.masks.shape:
             raise ValueError("labels and points must have equal length")
-        if self.n and not np.all(self.labels <= 1):
+        if self.n and (labels.dtype.kind not in "biu" or labels.min() < 0 or labels.max() > 1):
             raise ValueError("labels must be 0 or 1")
+        self.labels = labels.astype(np.uint8, copy=False)
 
     def unlabeled(self) -> UnlabeledDataset:
         return UnlabeledDataset(self.d, self.masks)

@@ -66,10 +66,8 @@ def local_gain_reference(impurity: ImpurityFunction, batch: Minibatch, i: int) -
     pos = [y for y, s in zip(ys, sides) if s == 1]
     if not neg or not pos:
         return 0.0
-    g = impurity.g
-    p_all = sum(ys) / len(ys)
-    return float(g(p_all)) - 0.5 * float(g(sum(neg) / len(neg))) \
-        - 0.5 * float(g(sum(pos) / len(pos)))
+    return impurity(sum(ys) / len(ys)) - 0.5 * impurity(sum(neg) / len(neg)) \
+        - 0.5 * impurity(sum(pos) / len(pos))
 
 
 # ---------------------------------------------------------------------------

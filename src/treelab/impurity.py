@@ -30,34 +30,22 @@ _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
                            bitorder="little").astype(np.int64)
 
 
-def _as_value(p: ArrayLike) -> np.ndarray:
-    arr = np.asarray(p, dtype=np.float64)
-    if np.any((arr < 0) | (arr > 1)):
-        raise ValueError("impurity argument must lie in [0, 1]")
-    return arr
-
-
-def _ret(arr: np.ndarray, like: ArrayLike):
-    return arr if isinstance(like, np.ndarray) else float(arr)
-
-
+# The formulas take a float or a float array in [0, 1]; ImpurityFunction
+# checks its argument before calling them.
 def gini(p: ArrayLike) -> ArrayLike:
-    arr = _as_value(p)
-    return _ret(4.0 * arr * (1.0 - arr), p)
+    return 4.0 * p * (1.0 - p)
 
 
 def binary_entropy(p: ArrayLike) -> ArrayLike:
-    arr = _as_value(p)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t0 = np.where(arr > 0.0, arr * np.log2(np.where(arr > 0.0, arr, 1.0)), 0.0)
-        q = 1.0 - arr
+        t0 = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
+        q = 1.0 - p
         t1 = np.where(q > 0.0, q * np.log2(np.where(q > 0.0, q, 1.0)), 0.0)
-    return _ret(-(t0 + t1), p)
+    return -(t0 + t1)
 
 
 def kearns_mansour(p: ArrayLike) -> ArrayLike:
-    arr = _as_value(p)
-    return _ret(2.0 * np.sqrt(arr * (1.0 - arr)), p)
+    return 2.0 * np.sqrt(p * (1.0 - p))
 
 
 @dataclass(frozen=True)
@@ -72,7 +60,12 @@ class ImpurityFunction:
     kappa: float    # strong-concavity constant
 
     def __call__(self, p: ArrayLike) -> ArrayLike:
-        return self.g(p)
+        """g(p), after checking that p lies in [0, 1]; a float for a scalar p."""
+        arr = np.asarray(p, dtype=np.float64)
+        if np.any((arr < 0) | (arr > 1)):
+            raise ValueError("impurity argument must lie in [0, 1]")
+        value = self.g(arr)
+        return value if isinstance(p, np.ndarray) else float(value)
 
 
 GINI = ImpurityFunction("gini", gini, C=4.0, alpha=1.0, kappa=8.0)

@@ -33,38 +33,20 @@ from __future__ import annotations
 import functools
 from typing import List, Sequence, Union
 
-import numpy as np
-
 # draw_minibatch is unused here, but perfbench/tests/test_bench.py checks its rebinding.
 from .core import (STRAND_DOMAIN, LabelOracle, Point, RandomnessTape,
-                   StrandTracker, UnlabeledDataset, draw_minibatch, sign_bit)
+                   StrandTracker, UnlabeledDataset, as_masks, draw_minibatch,
+                   sign_bit)
 from .impurity import ImpurityFunction, depth_limit
 from .learners import GrowthState, completion_label, leaf_source
 from .trees import Tree, leaf_paths
-
-
-def _strand_masks(d: int, strand_points: Sequence) -> np.ndarray:
-    """Packed masks of Points of dimension d or of integer masks in [0, 2^d)."""
-    if isinstance(strand_points, np.ndarray) and strand_points.dtype.kind in "iu":
-        if len(strand_points) and not (0 <= int(strand_points.min())
-                                       and int(strand_points.max()) < 1 << d):
-            raise ValueError(f"strand mask out of range for d={d}")
-        return strand_points.astype(np.uint64)
-    masks = []
-    for p in strand_points:
-        if isinstance(p, Point) and p.d != d:
-            raise ValueError(f"point dimension {p.d} != tree dimension {d}")
-        if not isinstance(p, (Point, int, np.integer)):
-            raise ValueError(f"strand mask {p!r} is not an integer")
-        masks.append(p.mask if isinstance(p, Point) else Point(d, int(p)).mask)
-    return np.array(masks, dtype=np.uint64)
 
 
 def estimate_size(tree: Tree, strand_points: Sequence) -> float:
     """Mean of 2^{leaf depth} over the sample points (duplicates counted);
     unbiased for the leaf count.  Accepts Points or packed masks.  The
     tree's splits are replayed, parents first, through a StrandTracker."""
-    tracker = StrandTracker(_strand_masks(tree.d, strand_points))
+    tracker = StrandTracker(as_masks(tree.d, strand_points))
     # Each split is inserted with the first leaf under it, after its parent.
     splits = {path[:k]: path[k][0] for path, _ in leaf_paths(tree)
               for k in range(len(path))}
@@ -110,13 +92,7 @@ class LocalLearnerSession:
 
     def predict(self, x: Union[Point, int]) -> int:
         """Label of the query point under the would-be global tree."""
-        if isinstance(x, Point):
-            if x.d != self.dataset.d:
-                raise ValueError(f"point dimension {x.d} != dataset dimension "
-                                 f"{self.dataset.d}")
-        else:
-            x = Point(self.dataset.d, int(x))
-        x_mask = x.mask
+        x_mask = int(as_masks(self.dataset.d, [x])[0])
         if self._splits is None:
             self._grow_forest()
         steps, leaf, j = self._steps, (), 0

@@ -11,7 +11,8 @@ from treelab.impurity import (GINI, ImpurityFunction, depth_cap, depth_limit,
 from treelab.learners import (GrowthState, LeafRecord, leaf_source,
                               minibatch_top_down, score_leaf, top_down_full,
                               top_down_size_estimate)
-from treelab.targets import Dictator, random_truth_table, sample_dataset
+from treelab.targets import (Dictator, ReadOnceDNF, random_truth_table,
+                             sample_dataset)
 from treelab.trees import serialize_tree
 
 
@@ -257,6 +258,24 @@ class TestFrontierHeap:
             order.append(rec.path)
             g.apply(rec)
         assert len(order) == len(g.splits) == len(set(order))
+
+
+class TestTraceDepthCap:
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_capped_learner_traces_validate(self, seed, chain):
+        # With full batches, the AND of all coordinates grows a chain whose
+        # splits reach the cap.
+        rng = np.random.default_rng(seed)
+        d, t = int(rng.integers(2, 11)), int(rng.integers(2, 80))
+        target = ReadOnceDNF(d, (range(d),)) if chain else random_truth_table(rng, d)
+        ds = full_truth_table_dataset(target)
+        b = ds.n if chain else int(rng.integers(1, 64))
+        tape = RandomnessTape(seed)
+        for res in (minibatch_top_down(t, b, ds, GINI, tape),
+                    top_down_size_estimate(t, b, ds, GINI, tape)):
+            assert res.trace.depth_cap == depth_limit(t)
+            res.trace.validate()
 
 
 class TestTopDownSizeEstimate:
