@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (DATA_DOMAIN, LabeledDataset, LabelOracle, Point, RandomnessTape,
-                   UnlabeledDataset, read_dataset, write_dataset, write_trace)
+from .core import (LabeledDataset, LabelOracle, Point, RandomnessTape, read_dataset,
+                   sample_points, write_dataset, write_trace)
 from .estimator import BudgetError, estimate_learnability, query_budget_report
 from .exhaustive import (ConcentrationConfig, check_shallow_splits,
                          check_telescoping, empirical_concentration,
@@ -93,9 +93,7 @@ def cmd_gen_data(args) -> int:
     target = parse_target(args.target, args.d)
     tape = RandomnessTape(args.seed)
     if args.unlabeled:
-        # The points sample_dataset draws, without evaluating the target.
-        masks = tape.uniform_masks(target.d, args.n, DATA_DOMAIN, "gen-data")
-        ds = UnlabeledDataset(target.d, masks)
+        ds = sample_points(target.d, args.n, tape, key="gen-data")
     else:
         ds = sample_dataset(target, args.n, tape, key="gen-data")
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -269,7 +267,7 @@ def cmd_sweep(args) -> int:
             size = {"t": args.t, "b": args.b, "n": args.n, args.vary: value}
             tape = RandomnessTape(args.seed + seed)
             target = parse_target(args.target, args.d)
-            train = sample_dataset(target, size["n"], tape, key="sweep-train").unlabeled()
+            train = sample_points(args.d, size["n"], tape, key="sweep-train")
             test = sample_dataset(target, args.test_n, tape, key="sweep-test")
             report, _, t_prime = _estimate(size["t"], size["b"], train, target, test,
                                            impurity, tape)

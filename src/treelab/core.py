@@ -94,6 +94,17 @@ def as_masks(d: int, points) -> np.ndarray:
     return masks.astype(np.uint64, copy=False)
 
 
+def as_labels(labels, n: int) -> np.ndarray:
+    """The uint8 form of n labels, each an integer or bool 0 or 1 (a uint8
+    array is not copied).  Any other value or length raises ValueError."""
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise ValueError("labels and points must have equal length")
+    if n and (labels.dtype.kind not in "biu" or labels.min() < 0 or labels.max() > 1):
+        raise ValueError("labels must be 0 or 1")
+    return labels.astype(np.uint8, copy=False)
+
+
 def sign_bit(mask: int, coord: int) -> int:
     """Sign of one coordinate of a packed point: +1 or -1."""
     return 1 if (int(mask) >> coord) & 1 else -1
@@ -182,12 +193,7 @@ class LabeledDataset(UnlabeledDataset):
 
     def __post_init__(self):
         super().__post_init__()
-        labels = np.asarray(self.labels)
-        if labels.shape != self.masks.shape:
-            raise ValueError("labels and points must have equal length")
-        if self.n and (labels.dtype.kind not in "biu" or labels.min() < 0 or labels.max() > 1):
-            raise ValueError("labels must be 0 or 1")
-        self.labels = labels.astype(np.uint8, copy=False)
+        self.labels = as_labels(self.labels, self.n)
 
     def unlabeled(self) -> UnlabeledDataset:
         return UnlabeledDataset(self.d, self.masks)
@@ -347,6 +353,11 @@ class RandomnessTape:
         return rng.integers(0, 1 << d, size=count, dtype=np.uint64)
 
 
+def sample_points(d: int, n: int, tape: RandomnessTape, key: str = "train") -> UnlabeledDataset:
+    """The n uniform points that targets.sample_dataset labels under this key."""
+    return UnlabeledDataset(d, tape.uniform_masks(d, n, DATA_DOMAIN, key))
+
+
 # ---------------------------------------------------------------------------
 # Minibatches
 # ---------------------------------------------------------------------------
@@ -462,9 +473,7 @@ class LabelOracle:
     """
 
     def __init__(self, target, dataset: UnlabeledDataset):
-        self.target = target
-        self.dataset = dataset
-        self._labels = np.asarray(target.eval_masks(dataset.masks), dtype=np.uint8)
+        self._labels = as_labels(target.eval_masks(dataset.masks), dataset.n)
         self._revealed = np.zeros(dataset.n, dtype=bool)
         self.query_count = 0
         self.batches_drawn = 0

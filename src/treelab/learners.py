@@ -208,18 +208,12 @@ def minibatch_top_down(t: int, b: int, dataset: LabeledDataset,
 
 
 def top_down_size_estimate(t: int, b: int, dataset: LabeledDataset,
-                           impurity: ImpurityFunction, tape: RandomnessTape,
-                           strand_masks: Optional[np.ndarray] = None) -> TrainResult:
+                           impurity: ImpurityFunction, tape: RandomnessTape) -> TrainResult:
     """Like minibatch_top_down, but the loop runs while a strand-based size
     estimate stays below t: b uniform cube points are drawn up front (tape
     key 'strands'), and after every split the estimate is the mean over them
-    of 2^{leaf depth}.  The final exact size t' is len(trace) + 1.
-
-    strand_masks overrides the strand draw (diagnostics: passing the whole
-    cube makes the estimate exact, so the loop stops at size t exactly)."""
+    of 2^{leaf depth}.  The final exact size t' is len(trace) + 1."""
     t = max(int(t), 1)
     g = GrowthState(dataset.d, leaf_source(dataset, impurity, b, tape), depth_limit(t))
-    if strand_masks is None:
-        strand_masks = tape.uniform_masks(dataset.d, b, STRAND_DOMAIN)
-    e = g.grow(t, StrandTracker(strand_masks))
+    e = g.grow(t, StrandTracker(tape.uniform_masks(dataset.d, b, STRAND_DOMAIN)))
     return TrainResult(g.complete(), g.trace, g, size_estimate=e)

@@ -13,23 +13,22 @@ from typing import FrozenSet, Tuple
 
 import numpy as np
 
-from .core import DATA_DOMAIN, LabeledDataset, Point, RandomnessTape
+from .core import LabeledDataset, RandomnessTape, as_labels, as_masks, sample_points
 from .impurity import _check_exhaustive
 from .trees import Tree, evaluate_masks, parse_tree, random_partial_tree, relabel
 
 
 class TargetFunction:
-    """Boolean function {-1,+1}^d -> {0,1}, evaluable on packed masks."""
+    """Boolean function {-1,+1}^d -> {0,1} of a Point or packed mask; each
+    subclass's eval_masks takes its masks through `as_masks`."""
 
     d: int
 
     def eval_masks(self, masks: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def __call__(self, x: Point) -> int:
-        if x.d != self.d:
-            raise ValueError(f"point dimension {x.d} != target dimension {self.d}")
-        return int(self.eval_masks(np.array([x.mask], dtype=np.uint64))[0])
+    def __call__(self, x) -> int:
+        return int(self.eval_masks([x])[0])
 
 
 @dataclass
@@ -44,7 +43,7 @@ class Dictator(TargetFunction):
             raise ValueError(f"dictator coordinate {self.i} out of range")
 
     def eval_masks(self, masks):
-        return ((np.asarray(masks, np.uint64) >> np.uint64(self.i)) & np.uint64(1)).astype(np.uint8)
+        return ((as_masks(self.d, masks) >> np.uint64(self.i)) & np.uint64(1)).astype(np.uint8)
 
 
 @dataclass
@@ -54,7 +53,7 @@ class Majority(TargetFunction):
     d: int
 
     def eval_masks(self, masks):
-        return (np.bitwise_count(np.asarray(masks, np.uint64)) * 2 > self.d).astype(np.uint8)
+        return (np.bitwise_count(as_masks(self.d, masks)) * 2 > self.d).astype(np.uint8)
 
 
 @dataclass
@@ -78,7 +77,7 @@ class ReadOnceDNF(TargetFunction):
         self._term_masks = [np.uint64(sum(1 << i for i in t)) for t in self.terms]
 
     def eval_masks(self, masks):
-        masks = np.asarray(masks, np.uint64)
+        masks = as_masks(self.d, masks)
         hit = np.zeros(len(masks), dtype=bool)
         for tm in self._term_masks:
             hit |= (masks & tm) == tm
@@ -112,8 +111,7 @@ class Xor(TargetFunction):
         self._sel = np.uint64(sum(1 << i for i in self.coords))
 
     def eval_masks(self, masks):
-        masks = np.asarray(masks, np.uint64)
-        return (np.bitwise_count(masks & self._sel) & 1).astype(np.uint8)
+        return (np.bitwise_count(as_masks(self.d, masks) & self._sel) & 1).astype(np.uint8)
 
 
 @dataclass
@@ -139,12 +137,12 @@ class TruthTable(TargetFunction):
     table: np.ndarray
 
     def __post_init__(self):
-        self.table = np.asarray(self.table, dtype=np.uint8)
         if len(self.table) != (1 << self.d):
             raise ValueError(f"table must have 2^{self.d} entries")
+        self.table = as_labels(self.table, 1 << self.d)
 
     def eval_masks(self, masks):
-        return self.table[np.asarray(masks, np.int64)]
+        return self.table[as_masks(self.d, masks)]
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +190,8 @@ def monte_carlo_error(target: TargetFunction, tree: Tree, samples: int,
 
 def sample_dataset(target: TargetFunction, n: int, tape: RandomnessTape,
                    key: str = "train") -> LabeledDataset:
-    """n i.i.d. uniform points labeled by the target, deterministic under the
-    tape key."""
-    masks = tape.uniform_masks(target.d, n, DATA_DOMAIN, key)
+    """The n points sample_points draws under the tape key, labeled by the target."""
+    masks = sample_points(target.d, n, tape, key).masks
     return LabeledDataset(target.d, masks, target.eval_masks(masks))
 
 

@@ -13,7 +13,7 @@ from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-from .core import LeafPath, Point, _check_dim, path_coords, sign_bit
+from .core import LeafPath, Point, _check_dim, as_masks, path_coords, sign_bit
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,8 @@ def evaluate_tree(tree: Tree, x: Point) -> int:
 
 
 def evaluate_masks(tree: Tree, masks: np.ndarray) -> np.ndarray:
-    """Vectorized evaluate_tree over packed points."""
-    masks = np.asarray(masks, dtype=np.uint64)
+    """Vectorized evaluate_tree over packed points, taken through `as_masks`."""
+    masks = as_masks(tree.d, masks)
     out = np.zeros(len(masks), dtype=np.uint8)
 
     def rec(node: Node, idx: np.ndarray):

@@ -6,7 +6,7 @@ import statistics
 import pytest
 
 from treelab.cli import build_parser, main
-from treelab.targets import ReadOnceDNF
+from treelab.targets import Majority, ReadOnceDNF
 from treelab.trees import parse_tree
 
 
@@ -165,6 +165,33 @@ class TestSweep:
         medians = [statistics.median(by_b[b]) for b in (8, 16, 32, 64)]
         inversions = sum(1 for a, b in zip(medians, medians[1:]) if b > a + 1e-12)
         assert inversions <= 1, medians
+
+
+    SWEEP = ["sweep", "--vary", "b", "--target", "majority", "--d", "9", "--n", "512",
+             "--t", "8", "--test-n", "50", "--seed", "4", "--machine"]
+
+    def test_tsv_text_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, *self.SWEEP, "--values", "16,32", "--seeds", "2")
+        assert code == 0
+        assert out == ("param\terror\tunique_labels\tt_prime\n"
+                       "16\t0.32\t158\t7\n16\t0.2\t201\t8\n"
+                       "32\t0.3\t351\t9\n32\t0.28\t311\t9\n")
+
+    def test_row_evaluates_target_on_2n_plus_test_n_points(self, capsys, monkeypatch):
+        # The oracle labels the n training points, t' labels them again and
+        # the test set is labeled once; drawing the training set labels none.
+        evaluated = []
+        eval_masks = Majority.eval_masks
+
+        def counted(target, masks):
+            labels = eval_masks(target, masks)
+            evaluated.append(len(labels))
+            return labels
+
+        monkeypatch.setattr(Majority, "eval_masks", counted)
+        code, out, _ = run_cli(capsys, *self.SWEEP, "--values", "16", "--seeds", "1")
+        assert code == 0 and len(out.splitlines()) == 2
+        assert sum(evaluated) == 2 * 512 + 50
 
 
 class TestConfigAndErrors:

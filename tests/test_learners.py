@@ -286,16 +286,18 @@ class TestTopDownSizeEstimate:
         assert res.size_estimate == 1.0
 
     def test_exact_strands_stop_at_exactly_t(self):
-        # With the whole cube as the strand multiset the estimate equals the
-        # true size after every split, so the loop stops at size t exactly.
+        # top_down_size_estimate's growth with the whole cube as the strand
+        # multiset: the estimate equals the true size after every split, so
+        # the loop stops at size t exactly.
+        from treelab.core import StrandTracker
         from treelab.targets import Majority
 
         d, t = 8, 20
         ds = full_truth_table_dataset(Majority(d))
-        res = top_down_size_estimate(t, 64, ds, GINI, RandomnessTape(1),
-                                     strand_masks=np.arange(1 << d, dtype=np.uint64))
-        assert res.tree.size == t
-        assert res.size_estimate == float(t)
+        g = GrowthState(d, leaf_source(ds, GINI, 64, RandomnessTape(1)), depth_limit(t))
+        estimate = g.grow(t, StrandTracker(np.arange(1 << d, dtype=np.uint64)))
+        assert g.complete().size == t
+        assert estimate == float(t)
 
     def test_trace_estimate_matches_recomputation(self):
         from treelab.local import estimate_size

@@ -1,9 +1,13 @@
 """One rule for packed points and labels, whichever entry point takes them.
 
 A point is a Point of dimension d or an integer mask in [0, 2^d).  Every
-entry point either accepts a value with the same mask or raises ValueError;
-none truncates, and none raises OverflowError or TypeError.
+entry point, datasets, trees and targets alike, either accepts a value with
+the same mask or raises ValueError; none truncates, and none raises
+OverflowError or TypeError.  A label is an integer or bool 0 or 1, whether a
+dataset, a truth table or the label oracle's target supplies it.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,8 +16,8 @@ from treelab.core import (LabeledDataset, LabelOracle, Point, RandomnessTape,
                           UnlabeledDataset, as_masks)
 from treelab.impurity import GINI
 from treelab.local import LocalLearnerSession, estimate_size
-from treelab.targets import Majority, sample_dataset
-from treelab.trees import Leaf, Split, Tree
+from treelab.targets import Dictator, Majority, TruthTable, Xor, sample_dataset
+from treelab.trees import Leaf, Split, Tree, evaluate_masks
 
 D = 4
 # Leaf depths 1..4, so the size estimate of one point tells its leaf.
@@ -36,6 +40,10 @@ def session():
     return LocalLearnerSession(8, 16, labeled.unlabeled(), oracle, GINI, tape)
 
 
+# 1 on the mask 5 only.
+TABLE = TruthTable(D, np.arange(1 << D) == 5)
+
+
 def _entry_points(session):
     """Each entry point as value -> what it makes of the value.  Point(d, v)
     takes a mask, so a Point value skips it."""
@@ -44,6 +52,12 @@ def _entry_points(session):
         "UnlabeledDataset": lambda v: int(UnlabeledDataset(D, [v]).masks[0]),
         "estimate_size": lambda v: estimate_size(TREE, [v]),
         "predict": session.predict,
+        "evaluate_masks": lambda v: evaluate_masks(TREE, [v]).tolist(),
+        "Majority.eval_masks": lambda v: Majority(D).eval_masks([v]).tolist(),
+        "Xor.eval_masks": lambda v: Xor(D, {0, 3}).eval_masks([v]).tolist(),
+        "Dictator.eval_masks": lambda v: Dictator(D, 2).eval_masks([v]).tolist(),
+        "TruthTable.eval_masks": lambda v: TABLE.eval_masks([v]).tolist(),
+        "Majority()": Majority(D),
     }
 
 
@@ -123,3 +137,19 @@ def test_labels_rejected(bad):
 def test_labels_of_another_shape_rejected(labels):
     with pytest.raises(ValueError, match="labels and points must have equal length"):
         LabeledDataset(D, [3, 5], labels)
+
+
+@pytest.mark.parametrize("bad", [2, -1, 256, 0.5, "1"], ids=repr)
+def test_truth_table_entries_are_labels(bad):
+    for table in ([bad] + [0] * 15, np.array([bad] + [0] * 15)):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            TruthTable(D, table)
+    with pytest.raises(ValueError, match="table must have 2\\^4 entries"):
+        TruthTable(D, [0] * 15)
+
+
+@pytest.mark.parametrize("label", [2, 0.5], ids=repr)
+def test_label_oracle_checks_its_targets_labels(label):
+    target = SimpleNamespace(eval_masks=lambda masks: np.full(len(masks), label))
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        LabelOracle(target, UnlabeledDataset(D, [3, 5]))
