@@ -366,11 +366,12 @@ def sample_points(d: int, n: int, tape: RandomnessTape, key: str = "train") -> U
 @dataclass
 class Minibatch:
     """Up to b dataset entries consistent with a leaf, drawn without
-    replacement.  labels is None when drawn from an unlabeled dataset."""
+    replacement.  labels is None when drawn from an unlabeled dataset.  A
+    LeafPools pool of more than b points has masks and labels None."""
 
     leaf_path: LeafPath
     indices: np.ndarray
-    masks: np.ndarray
+    masks: Optional[np.ndarray]
     labels: Optional[np.ndarray] = None
 
     @property
@@ -387,28 +388,42 @@ def consistent_indices(masks: np.ndarray, path: LeafPath) -> np.ndarray:
 
 
 class LeafPools:
-    """Leaf pools: the ascending dataset indices of the points reaching each
-    requested leaf, filtered from the nearest kept ancestor's pool, so a tree
-    costs O(n*depth) scanned points, not O(n*leaves).  Depth-0/1 leaves scan
-    the dataset and the root's pool is never kept; a parent's pool is dropped
-    once both children have theirs, and a leaf is kept only when first
-    served.  Indices are int32 when n < 2^31, else int64."""
+    """Leaf pools: per requested leaf, the Minibatch of every point reaching
+    it, indices ascending (int32 when n < 2^31, else int64).  A pool of at
+    most b points carries masks and labels and is the leaf's whole batch; a
+    larger one has indices only.  A pool filters its nearest kept ancestor's
+    masks, gathered from the dataset if it has none, so a tree costs
+    O(n*depth) scanned points, not O(n*leaves); depth-0/1 leaves scan the
+    dataset.  A pool of all its source's points shares the source's arrays.
+    The root's pool is never kept; a parent's is dropped once both children
+    have theirs, and a leaf is kept only when first served."""
 
-    def __init__(self, masks: np.ndarray):
-        self.masks = masks
-        self._dtype = np.int32 if len(masks) < 1 << 31 else np.int64
+    def __init__(self, dataset: AnyDataset, b: int):
+        self.masks, self.labels, self.b = dataset.masks, getattr(dataset, "labels", None), b
+        self._dtype = np.int32 if dataset.n < 1 << 31 else np.int64
         self._pools: dict = {}
         self._served: set = set()
 
-    def __call__(self, path: LeafPath) -> np.ndarray:
+    def __call__(self, path: LeafPath) -> Minibatch:
         base = path[:-1]
         while base and base not in self._pools:
             base = base[:-1]
-        if base:
-            parent = self._pools[base]
-            pool = parent[consistent_indices(self.masks[parent], path)]
+        parent = self._pools.get(base)
+        if parent is None:
+            at = consistent_indices(self.masks, path)
+            idx, source = at.astype(self._dtype), (self.masks, self.labels)
+        elif parent.masks is None:
+            # The gathered parent masks are freed before idx is gathered.
+            idx = parent.indices[consistent_indices(self.masks[parent.indices], path)]
+            at, source = idx, (self.masks, self.labels)
         else:
-            pool = consistent_indices(self.masks, path).astype(self._dtype)
+            at = consistent_indices(parent.masks, path)
+            idx, source = parent.indices[at], (parent.masks, parent.labels)
+        if len(idx) > self.b:
+            pool = Minibatch(path, idx, None)
+        else:
+            whole = len(at) == len(source[0])
+            pool = Minibatch(path, idx, *(a if a is None or whole else a[at] for a in source))
         if path and path not in self._served:
             self._served.add(path)
             self._pools[path] = pool
@@ -436,25 +451,25 @@ def draw_minibatch(
     b: int,
     tape: RandomnessTape,
     domain: str = BATCH_DOMAIN,
-    pool: Optional[np.ndarray] = None,
+    pool: Optional[Minibatch] = None,
 ) -> Minibatch:
     """Uniform without-replacement draw of b consistent entries.
 
     If fewer than b entries are consistent with the leaf, all of them are
     returned (in ascending dataset order).  The draw is a pure function of
     (dataset, leaf_path, b, tape.master_seed, domain).  `pool`, if given, is
-    the leaf's ascending pool (see LeafPools); else the dataset is scanned.
+    the leaf's pool (see LeafPools), else the dataset is scanned.  The batch
+    of a pool of at most b points that carries its masks shares its arrays.
     """
     if b < 1:
         raise ValueError(f"batch size must be >= 1, got {b}")
-    if pool is None:
-        pool = consistent_indices(dataset.masks, leaf_path)
-    if len(pool) > b:
+    idx = consistent_indices(dataset.masks, leaf_path) if pool is None else pool.indices
+    if len(idx) > b:
         rng = tape.substream(domain, encode_path(leaf_path))
-        idx = _partial_shuffle_take(rng, pool, b)
-    else:
-        idx = pool
-    masks = dataset.masks[idx]  # before labels, which lowers full-batch peak RSS
+        idx = _partial_shuffle_take(rng, idx, b)
+    elif pool is not None and pool.masks is not None:
+        return Minibatch(leaf_path, idx, pool.masks, pool.labels)
+    masks = dataset.masks[idx]
     labels = dataset.labels[idx] if isinstance(dataset, LabeledDataset) else None
     return Minibatch(leaf_path, idx, masks, labels)
 
@@ -486,6 +501,8 @@ class LabelOracle:
     def labels_for(self, indices: np.ndarray) -> np.ndarray:
         """Reveal (and count) labels for the given dataset indices."""
         indices = np.asarray(indices, dtype=np.int64)
+        if len(indices) and not 0 <= indices.min() <= indices.max() < len(self._labels):
+            raise ValueError(f"label indices must lie in [0, {len(self._labels)})")
         self.batches_drawn += 1
         fresh = len(np.unique(indices[~self._revealed[indices]]))
         if fresh:

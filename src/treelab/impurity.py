@@ -25,6 +25,8 @@ EXHAUSTIVE_DIM_LIMIT = 20
 # Batches of at least this many rows are counted by per-byte histograms,
 # smaller ones on an unpacked bit matrix, which is faster there.
 HISTOGRAM_ROWS = 1024
+# Histograms are counted over blocks of this many rows, to bound working memory.
+GAIN_BLOCK_ROWS = 1 << 16
 # _BYTE_BITS[v, i] is bit i of the byte value v.
 _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
                            bitorder="little").astype(np.int64)
@@ -106,28 +108,31 @@ def batch_local_gains(impurity: ImpurityFunction, masks: np.ndarray,
     Labels are in {0, 1}.  Counting is pure integer arithmetic (no BLAS
     reductions), so the means and hence the split decisions are
     bit-identical across platforms: on a k x d uint8 bit matrix unpacked
-    from the masks' low ceil(d/8) bytes, or for k >= HISTOGRAM_ROWS from a
-    histogram of (byte value, label) per low byte, mapped to bit counts.
-    Both give the same counts.  Mask bits at or above d are ignored.
+    from the masks' low ceil(d/8) bytes, or for k >= HISTOGRAM_ROWS from
+    (byte value, label) histograms per low byte, summed over blocks of
+    GAIN_BLOCK_ROWS rows, mapped to bit counts.  Both give the same counts.
+    Mask bits at or above d are ignored.
     """
     k = len(masks)
     if k == 0:
         raise ValueError("local gain of an empty batch")
-    y = np.asarray(labels, np.int64)
+    y = np.asarray(labels)
     if k < HISTOGRAM_ROWS:
         bits = mask_bits(masks, d)
         n_pos = bits.sum(axis=0, dtype=np.int64)
         s_pos = bits[y == 1].sum(axis=0, dtype=np.int64)
     else:
         low = np.ascontiguousarray(masks, "<u8").view(np.uint8).reshape(-1, 8)
-        label_bins = y << 8
-        # One byte column at a time: a k x ceil(d/8) code matrix is too big.
-        counts = [np.bincount(low[:, c] + label_bins, minlength=512).reshape(2, 256)
-                  for c in range((d + 7) // 8)]
+        counts = np.zeros(((d + 7) // 8, 2, 256), np.int64)
+        for lo in range(0, k, GAIN_BLOCK_ROWS):
+            label_bins = y[lo:lo + GAIN_BLOCK_ROWS].astype(np.int64) << 8
+            for c, h in enumerate(counts):
+                h += np.bincount(low[lo:lo + GAIN_BLOCK_ROWS, c] + label_bins,
+                                 minlength=512).reshape(2, 256)
         n_pos = np.concatenate([h.sum(axis=0) @ _BYTE_BITS for h in counts])[:d]
         s_pos = np.concatenate([h[1] @ _BYTE_BITS for h in counts])[:d]
     n_neg = k - n_pos
-    ones = int(y.sum())
+    ones = int(y.sum(dtype=np.int64))
     s_neg = ones - s_pos
     p_pos = np.divide(s_pos, n_pos, out=np.zeros(d), where=n_pos > 0)
     p_neg = np.divide(s_neg, n_neg, out=np.zeros(d), where=n_neg > 0)
@@ -141,8 +146,6 @@ def local_gain(impurity: ImpurityFunction, batch: Minibatch, i: int) -> float:
     """Estimated local gain of splitting the batch's leaf on coordinate i."""
     if batch.labels is None:
         raise ValueError("batch has no labels")
-    if batch.size == 0:
-        raise ValueError("local gain of an empty batch")
     # d=i+1 evaluates the shared vectorized formula up to coordinate i only.
     return float(batch_local_gains(impurity, batch.masks, batch.labels, i + 1)[i])
 

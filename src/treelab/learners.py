@@ -169,7 +169,7 @@ def leaf_source(dataset: AnyDataset, impurity: ImpurityFunction, b: int,
     """record(path) scoring each leaf on its path-keyed minibatch of size b
     (every consistent point when at most b are), labeled by `oracle` when
     given, else by the dataset."""
-    pools = LeafPools(dataset.masks)
+    pools = LeafPools(dataset, b)
 
     def record(path: LeafPath) -> LeafRecord:
         batch = draw_minibatch(dataset, path, b, tape, pool=pools(path))

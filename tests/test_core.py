@@ -217,35 +217,63 @@ def pool_requests(draw):
 
 
 class TestLeafPools:
-    @given(pool_requests())
+    @given(pool_requests(), st.integers(1, 90), st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_pools_equal_a_full_scan(self, case):
+    def test_pools_equal_a_full_scan(self, case, b, labeled):
         masks, requests = case
-        pools = LeafPools(masks)
+        ds = UnlabeledDataset(6, masks)
+        if labeled:
+            ds = LabeledDataset(6, masks, masks % np.uint64(3) == 0)
+        pools = LeafPools(ds, b)
         for path in requests:
             pool = pools(path)
-            assert pool.tolist() == consistent_indices(masks, path).tolist()
-            assert np.all(np.diff(pool) > 0)
+            assert pool.indices.tolist() == consistent_indices(masks, path).tolist()
+            assert np.all(np.diff(pool.indices) > 0)
+            assert pool.indices.dtype == np.int32
+            if len(pool.indices) > b:
+                assert pool.masks is None and pool.labels is None
+                continue
+            # A pool of at most b points carries its points and is the batch.
+            assert pool.masks.dtype == np.uint64
+            assert pool.masks.tobytes() == masks[pool.indices].tobytes()
+            if labeled:
+                assert pool.labels.dtype == np.uint8
+                assert pool.labels.tobytes() == ds.labels[pool.indices].tobytes()
+            else:
+                assert pool.labels is None
+            if len(pool.indices) == len(masks):
+                assert pool.masks is ds.masks and pool.labels is getattr(ds, "labels", None)
+            batch = draw_minibatch(ds, path, b, RandomnessTape(0), pool=pool)
+            for got, own in ((batch.indices, pool.indices), (batch.masks, pool.masks),
+                             (batch.labels, pool.labels)):
+                assert got is own
+                assert own is None or own.size == 0 or np.shares_memory(got, own)
+            # An oracle sets the batch's labels; the pool keeps its own.
+            own_labels = pool.labels
+            batch.labels = np.ones(batch.size, np.uint8)
+            assert batch is not pool and pool.labels is own_labels
 
     def test_empty_dataset_and_unreached_leaves(self):
-        pools = LeafPools(np.zeros(0, np.uint64))
-        assert pools(()).size == pools(((0, 1),)).size == pools(((0, 1), (2, -1))).size == 0
+        pools = LeafPools(UnlabeledDataset(3, np.zeros(0, np.uint64)), 1)
+        assert (pools(()).indices.size == pools(((0, 1),)).indices.size
+                == pools(((0, 1), (2, -1))).indices.size == 0)
         masks = np.array([0b00, 0b01, 0b11], np.uint64)
-        pools = LeafPools(masks)
-        assert pools(((0, 1),)).tolist() == [1, 2]
-        assert pools(((0, 1), (1, -1))).tolist() == [1]
-        assert pools(((0, -1), (1, 1))).size == 0
-        assert pools(((0, 1), (1, 1))).dtype == np.int32
+        pools = LeafPools(UnlabeledDataset(2, masks), 1)
+        assert pools(((0, 1),)).indices.tolist() == [1, 2]
+        assert pools(((0, 1), (1, -1))).indices.tolist() == [1]
+        assert pools(((0, -1), (1, 1))).indices.size == 0
+        assert pools(((0, 1), (1, 1))).indices.dtype == np.int32
 
     def test_draw_from_pool_equals_draw_from_scan(self, tape):
         ds = _dataset(n=500)
         path = ((1, -1), (3, 1))
-        pool = LeafPools(ds.masks)(path)
         for b in (1, 16, 500):
+            pool = LeafPools(ds, b)(path)
             a = draw_minibatch(ds, path, b, tape)
             c = draw_minibatch(ds, path, b, tape, pool=pool)
             assert a.indices.tolist() == c.indices.tolist()
             assert np.array_equal(a.labels, c.labels)
+            assert a.masks.tobytes() == c.masks.tobytes()
 
 
 def _rows16(k, labeled=True):
@@ -549,6 +577,21 @@ class TestLabelOracle:
         oracle.set_phase("b")
         oracle.labels_for(np.array([1, 2]))
         assert oracle.phase_counts == {"a": 2, "b": 1}
+
+    @pytest.mark.parametrize("bad", [[-1], [50], [0, 50], [3, -2]])
+    def test_out_of_range_indices_rejected_and_not_counted(self, bad):
+        ds = _dataset(d=6, n=50).unlabeled()
+        oracle = LabelOracle(Dictator(6, 0), ds)
+        with pytest.raises(ValueError):
+            oracle.labels_for(bad)
+        assert (oracle.query_count, oracle.batches_drawn, oracle.phase_counts) == (0, 0, {})
+
+    def test_no_indices_reveal_nothing(self):
+        ds = _dataset(d=6, n=50).unlabeled()
+        oracle = LabelOracle(Dictator(6, 0), ds)
+        got = oracle.labels_for([])
+        assert got.size == 0 and got.dtype == np.uint8
+        assert (oracle.query_count, oracle.phase_counts) == (0, {})
 
 
 class TestRunTrace:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from treelab import impurity
 from treelab.core import MAX_DIM, Minibatch
 from treelab.exhaustive import local_gain_reference
-from treelab.impurity import (ENTROPY, GINI, HISTOGRAM_ROWS, KEARNS_MANSOUR,
-                              TheoryParams,
+from treelab.impurity import (ENTROPY, GAIN_BLOCK_ROWS, GINI, HISTOGRAM_ROWS,
+                              KEARNS_MANSOUR, TheoryParams,
                               batch_local_gains, builtin_impurities, depth_cap,
                               g_impurity, get_impurity, local_gain, purity_gain,
                               recommended_params, strand_count_for_accuracy,
@@ -218,6 +219,32 @@ class TestGainCounting:
                     assert got.dtype == unpacked.dtype == np.float64
                     assert got.tobytes() == unpacked.tobytes(), (d, k)
                     assert got.tobytes() == _int64_gains(g, masks, labels, d).tobytes()
+
+    @pytest.mark.parametrize("k", [1023, 1024, GAIN_BLOCK_ROWS - 1, GAIN_BLOCK_ROWS,
+                                   GAIN_BLOCK_ROWS + 1, 3 * GAIN_BLOCK_ROWS + 5])
+    def test_block_counts_equal_per_coordinate_counts(self, k):
+        # Histograms are summed over blocks of GAIN_BLOCK_ROWS rows; partial
+        # and exact last blocks must count every row once.
+        rng = np.random.default_rng(k)
+        masks = rng.integers(0, 1 << 63, size=k, dtype=np.uint64) << np.uint64(1)
+        labels = rng.integers(0, 2, size=k).astype(np.uint8)
+        for d in (1, 8, 9, 20):
+            for g in builtin_impurities():
+                got = batch_local_gains(g, masks, labels, d)
+                assert got.tobytes() == _int64_gains(g, masks, labels, d).tobytes(), (d, k)
+
+    def test_counting_memory_does_not_grow_with_batch_size(self):
+        rng = np.random.default_rng(11)
+        k, d = 1 << 20, 20
+        masks = rng.integers(0, 1 << d, size=k, dtype=np.uint64)
+        labels = rng.integers(0, 2, size=k).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            batch_local_gains(GINI, masks, labels, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 class TestPurityGain:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treelab
 from conftest import full_truth_table_dataset, monotone_target
 from treelab.core import LabeledDataset, LeafPools, Minibatch, RandomnessTape
 from treelab.exhaustive import check_shallow_splits
@@ -222,7 +223,7 @@ class TestLeafSource:
         for path in [*res.growth.splits, *res.growth.leaves]:
             rec = record(path)
             # The earlier full-batch record, kept here as the reference.
-            pool = LeafPools(ds.masks)(path)
+            pool = LeafPools(ds, ds.n)(path).indices
             old = Minibatch(path, pool, ds.masks[pool], ds.labels[pool])
             assert rec.batch.leaf_path == rec.path == path
             for got, want in ((rec.batch.indices, old.indices),
@@ -230,6 +231,23 @@ class TestLeafSource:
                               (rec.batch.labels, old.labels)):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             assert (rec.best_coord, rec.best_local_gain) == score_leaf(GINI, old, d)
+
+    def test_full_batch_root_batch_is_the_dataset(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        ds = LabeledDataset(8, rng.integers(0, 256, 400, dtype=np.uint64),
+                            rng.integers(0, 2, 400, dtype=np.uint8))
+        batches, draw = {}, treelab.learners.draw_minibatch
+
+        def kept(dataset, path, *args, **kwargs):
+            batches[path] = draw(dataset, path, *args, **kwargs)
+            return batches[path]
+
+        monkeypatch.setattr(treelab.learners, "draw_minibatch", kept)
+        top_down_full(8, ds, GINI)
+        root = batches[()]
+        assert np.shares_memory(root.masks, ds.masks)
+        assert np.shares_memory(root.labels, ds.labels)
+        assert root.indices.tolist() == list(range(ds.n))
 
 
 class TestFrontierHeap:
