@@ -18,14 +18,14 @@ import numpy as np
 
 from .core import (LabeledDataset, LabelOracle, Point, RandomnessTape, read_dataset,
                    sample_points, write_dataset, write_trace)
-from .estimator import BudgetError, estimate_learnability, query_budget_report
+from .estimator import BudgetError, estimate_error, query_budget_report
 from .exhaustive import (ConcentrationConfig, check_shallow_splits,
                          check_telescoping, empirical_concentration,
                          exact_size_expectation)
 from .impurity import (TheoryParams, builtin_impurities, get_impurity,
                        recommended_params)
 from .learners import minibatch_top_down, top_down_full, top_down_size_estimate
-from .local import estimate_size, local_learner
+from .local import LocalLearnerSession, estimate_size, local_learner
 from .targets import (parse_target, random_monotone_tree_target,
                       random_truth_table, sample_dataset)
 from .trees import leaf_paths, parse_tree, random_partial_tree, serialize_tree
@@ -74,13 +74,9 @@ def _print_theory(args, d: int, file=None) -> None:
 
 
 def _estimate(t, b, ds, target, test, impurity, tape):
-    """The estimator's report and oracle, and the exact size t' of the
-    would-be tree.  t' is a diagnostic only the global run knows, so it is
-    rebuilt from fully-labeled data under the same tape."""
-    oracle = LabelOracle(target, ds)
-    report = estimate_learnability(t, b, ds, oracle, test, impurity, tape)
-    labeled = LabeledDataset(ds.d, ds.masks, target.eval_masks(ds.masks))
-    return report, oracle, top_down_size_estimate(t, b, labeled, impurity, tape).tree.size
+    """The estimator's report and its session, whose global_size() is t'."""
+    session = LocalLearnerSession(t, b, ds, LabelOracle(target, ds), impurity, tape)
+    return estimate_error(session, test), session
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +146,17 @@ def cmd_estimate(args) -> int:
     ds = _read(args.unlabeled)
     test = _read(args.test, labeled=True)
     target = parse_target(args.target, ds.d)
-    report, oracle, t_prime = _estimate(args.t, args.b, ds, target, test,
-                                        get_impurity(args.impurity),
-                                        RandomnessTape(args.seed))
-    print(f"error={_fmt(report.error, args.machine)} "
-          f"unique_labels={report.unique_labels} batches={report.batches_drawn} "
-          f"t_prime={t_prime}")
-    if args.budget_report:
-        budget = query_budget_report(oracle, args.t, args.b, test.n)
+    report, session = _estimate(args.t, args.b, ds, target, test,
+                                get_impurity(args.impurity), RandomnessTape(args.seed))
+    # Checked before t' reveals labels; an over-budget run prints its line too.
+    try:
+        budget = (query_budget_report(session.oracle, args.t, args.b, test.n)
+                  if args.budget_report else None)
+    finally:
+        print(f"error={_fmt(report.error, args.machine)} "
+              f"unique_labels={report.unique_labels} batches={report.batches_drawn} "
+              f"t_prime={session.global_size()}")
+    if budget is not None:
         with open(args.budget_report, "w", encoding="utf-8") as fh:
             json.dump({"unique_labels": budget.unique_labels,
                        "batches_drawn": budget.batches_drawn,
@@ -269,10 +268,9 @@ def cmd_sweep(args) -> int:
             target = parse_target(args.target, args.d)
             train = sample_points(args.d, size["n"], tape, key="sweep-train")
             test = sample_dataset(target, args.test_n, tape, key="sweep-test")
-            report, _, t_prime = _estimate(size["t"], size["b"], train, target, test,
-                                           impurity, tape)
+            report, session = _estimate(size["t"], size["b"], train, target, test, impurity, tape)
             rows.append("\t".join([str(value), _fmt(report.error, args.machine),
-                                   str(report.unique_labels), str(t_prime)]))
+                                   str(report.unique_labels), str(session.global_size())]))
     text = "\n".join(rows) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

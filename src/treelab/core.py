@@ -457,17 +457,18 @@ def draw_minibatch(
 
     If fewer than b entries are consistent with the leaf, all of them are
     returned (in ascending dataset order).  The draw is a pure function of
-    (dataset, leaf_path, b, tape.master_seed, domain).  `pool`, if given, is
-    the leaf's pool (see LeafPools), else the dataset is scanned.  The batch
-    of a pool of at most b points that carries its masks shares its arrays.
+    (dataset, leaf_path, b, tape.master_seed, domain).  `pool` is the leaf's
+    pool (see LeafPools), built by one dataset scan if not given.  The batch
+    of a pool of at most b points shares its arrays.
     """
     if b < 1:
         raise ValueError(f"batch size must be >= 1, got {b}")
-    idx = consistent_indices(dataset.masks, leaf_path) if pool is None else pool.indices
+    pool = LeafPools(dataset, b)(leaf_path) if pool is None else pool
+    idx = pool.indices
     if len(idx) > b:
         rng = tape.substream(domain, encode_path(leaf_path))
         idx = _partial_shuffle_take(rng, idx, b)
-    elif pool is not None and pool.masks is not None:
+    elif pool.masks is not None:
         return Minibatch(leaf_path, idx, pool.masks, pool.labels)
     masks = dataset.masks[idx]
     labels = dataset.labels[idx] if isinstance(dataset, LabeledDataset) else None
@@ -499,10 +500,12 @@ class LabelOracle:
         self.phase = name
 
     def labels_for(self, indices: np.ndarray) -> np.ndarray:
-        """Reveal (and count) labels for the given dataset indices."""
-        indices = np.asarray(indices, dtype=np.int64)
-        if len(indices) and not 0 <= indices.min() <= indices.max() < len(self._labels):
-            raise ValueError(f"label indices must lie in [0, {len(self._labels)})")
+        """Reveal (and count) labels for dataset indices, integers in [0, n)."""
+        indices, n = np.asarray(indices), len(self._labels)
+        if len(indices) and (indices.dtype.kind not in "iu"
+                             or not 0 <= indices.min() <= indices.max() < n):
+            raise ValueError(f"label indices must be integers in [0, {n})")
+        indices = indices.astype(np.int64, copy=False)
         self.batches_drawn += 1
         fresh = len(np.unique(indices[~self._revealed[indices]]))
         if fresh:

@@ -39,8 +39,13 @@ def estimate_learnability(t: int, b: int, dataset: UnlabeledDataset,
                           oracle: LabelOracle, test_set: LabeledDataset,
                           impurity: ImpurityFunction,
                           tape: RandomnessTape) -> EstimateReport:
-    """Fraction of test points whose test label disagrees with the local
-    learner's prediction.
+    """estimate_error over a new local learner session."""
+    return estimate_error(LocalLearnerSession(t, b, dataset, oracle, impurity, tape), test_set)
+
+
+def estimate_error(session: LocalLearnerSession, test_set: LabeledDataset) -> EstimateReport:
+    """Fraction of test points whose test label disagrees with the session's
+    prediction, with its oracle's label counts.
 
     All per-point runs share the tape, the oracle's label cache, and the
     session's strand forest, so the result equals the error of the single
@@ -50,11 +55,10 @@ def estimate_learnability(t: int, b: int, dataset: UnlabeledDataset,
     """
     if test_set.n == 0:
         raise ValueError("test set must be non-empty")
-    if test_set.d != dataset.d:
+    if test_set.d != session.dataset.d:
         raise ValueError(f"test dimension {test_set.d} != training dimension "
-                         f"{dataset.d}")
-    session = LocalLearnerSession(t, b, dataset, oracle, impurity, tape)
-    wrong = 0
+                         f"{session.dataset.d}")
+    oracle, wrong = session.oracle, 0
     for k in range(test_set.n):
         oracle.set_phase("strand-forest" if k == 0 else "test-points")
         pred = session.predict(int(test_set.masks[k]))

@@ -70,6 +70,7 @@ class LocalLearnerSession:
             raise ValueError(f"batch size must be >= 1, got {b}")
         self.t = max(int(t), 1)
         self.dataset = dataset
+        self.oracle = oracle
         self.depth_limit = depth_limit(self.t)
         self.strand_masks = tape.uniform_masks(dataset.d, b, STRAND_DOMAIN)
         self._record = functools.cache(leaf_source(dataset, impurity, b, tape, oracle))
@@ -89,6 +90,13 @@ class LocalLearnerSession:
         self._priorities = [self._record(e.path).priority for e in g.trace]
         self._strand_leaves = set(tracker.members)
         self.split_choices.update(g.splits)
+
+    def global_size(self) -> int:
+        """Size t' of the global size-estimate learner's tree, grown from this
+        session's records; leaves not yet fetched reveal labels to its oracle."""
+        g = GrowthState(self.dataset.d, self._record, self.depth_limit)
+        g.grow(self.t, StrandTracker(self.strand_masks))
+        return g.size
 
     def predict(self, x: Union[Point, int]) -> int:
         """Label of the query point under the would-be global tree."""

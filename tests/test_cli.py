@@ -99,6 +99,42 @@ class TestEstimate:
         assert payload["unique_labels"] <= payload["bound"]
         assert "phases" in payload
 
+    def test_budget_report_counts_equal_printed_counts(self, workdir, capsys):
+        # At b = 16, t' reveals 6 labels in one batch after the estimate;
+        # the report counts none of them.
+        report = workdir["tmp"] / "budget.json"
+        code, out, _ = run_cli(capsys, *self._args(workdir, "--b", "16",
+                                                   "--budget-report", str(report)))
+        assert code == 0
+        fields = dict(kv.split("=") for kv in out.split())
+        payload = json.loads(report.read_text())
+        assert str(payload["unique_labels"]) == fields["unique_labels"]
+        assert str(payload["batches_drawn"]) == fields["batches"]
+
+    # Recorded when t' was still regrown from a fully labeled copy of the data.
+    MACHINE_LINE = "error=0.0 unique_labels=479 batches=25 t_prime=13\n"
+    BUDGET_JSON = ('{\n  "batches_drawn": 25,\n  "bound": 52000,\n  "phases": {\n'
+                   '    "strand-forest": 366,\n    "test-points": 113\n  },\n'
+                   '  "unique_labels": 479\n}\n')
+
+    def test_machine_line_and_budget_report_pinned(self, workdir, capsys):
+        report = workdir["tmp"] / "budget.json"
+        code, out, err = run_cli(capsys, *self._args(workdir, "--machine",
+                                                     "--budget-report", str(report)))
+        assert (code, out, err) == (0, self.MACHINE_LINE, "")
+        assert report.read_text() == self.BUDGET_JSON
+
+    def test_over_budget_run_prints_its_line_then_fails(self, workdir, capsys,
+                                                        monkeypatch):
+        # A depth limit of -1 makes the bound b = 32 labels.
+        monkeypatch.setattr("treelab.estimator.depth_limit", lambda t: -1)
+        report = workdir["tmp"] / "budget.json"
+        code, out, err = run_cli(capsys, *self._args(workdir, "--machine",
+                                                     "--budget-report", str(report)))
+        assert (code, out) == (1, self.MACHINE_LINE)
+        assert err == "error: unique labels 479 exceed budget 32\n"
+        assert not report.exists()
+
     def test_machine_mode_full_precision(self, workdir, capsys):
         _, human, _ = run_cli(capsys, *self._args(workdir))
         _, machine, _ = run_cli(capsys, *self._args(workdir, "--machine"))
@@ -177,9 +213,10 @@ class TestSweep:
                        "16\t0.32\t158\t7\n16\t0.2\t201\t8\n"
                        "32\t0.3\t351\t9\n32\t0.28\t311\t9\n")
 
-    def test_row_evaluates_target_on_2n_plus_test_n_points(self, capsys, monkeypatch):
-        # The oracle labels the n training points, t' labels them again and
-        # the test set is labeled once; drawing the training set labels none.
+    def test_row_evaluates_target_on_n_plus_test_n_points(self, capsys, monkeypatch):
+        # The oracle labels the n training points and the test set is labeled
+        # once; drawing the training set labels none, and t' reads the
+        # oracle's labels.
         evaluated = []
         eval_masks = Majority.eval_masks
 
@@ -191,7 +228,7 @@ class TestSweep:
         monkeypatch.setattr(Majority, "eval_masks", counted)
         code, out, _ = run_cli(capsys, *self.SWEEP, "--values", "16", "--seeds", "1")
         assert code == 0 and len(out.splitlines()) == 2
-        assert sum(evaluated) == 2 * 512 + 50
+        assert sum(evaluated) == 512 + 50
 
 
 class TestConfigAndErrors:

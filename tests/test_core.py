@@ -2,6 +2,7 @@ import hashlib
 import io
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -274,6 +275,31 @@ class TestLeafPools:
             assert a.indices.tolist() == c.indices.tolist()
             assert np.array_equal(a.labels, c.labels)
             assert a.masks.tobytes() == c.masks.tobytes()
+
+    @given(pool_requests(), st.integers(1, 90), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_draw_indices_equal_with_and_without_pool(self, case, b, seed):
+        # Every draw's indices have the pools' dtype, and a draw given no
+        # pool scans the dataset once.
+        masks, requests = case
+        ds = LabeledDataset(6, masks, masks % np.uint64(3) == 0)
+        pools, tape = LeafPools(ds, b), RandomnessTape(seed)
+        scans = []
+
+        def counted(masks, path):
+            scans.append(path)
+            return consistent_indices(masks, path)
+
+        for path in requests:
+            pool = pools(path)
+            with mock.patch("treelab.core.consistent_indices", counted):
+                scanned = draw_minibatch(ds, path, b, tape)
+                assert scans == [path]
+                pooled = draw_minibatch(ds, path, b, tape, pool=pool)
+                assert scans == [path]
+            scans.clear()
+            assert scanned.indices.dtype == pooled.indices.dtype == np.int32
+            assert scanned.indices.tobytes() == pooled.indices.tobytes()
 
 
 def _rows16(k, labeled=True):
@@ -583,6 +609,14 @@ class TestLabelOracle:
         ds = _dataset(d=6, n=50).unlabeled()
         oracle = LabelOracle(Dictator(6, 0), ds)
         with pytest.raises(ValueError):
+            oracle.labels_for(bad)
+        assert (oracle.query_count, oracle.batches_drawn, oracle.phase_counts) == (0, 0, {})
+
+    @pytest.mark.parametrize("bad", [[1.7], np.array([2.9]), [True], [0, 1.0]])
+    def test_non_integer_indices_rejected_and_not_counted(self, bad):
+        ds = _dataset(d=6, n=50).unlabeled()
+        oracle = LabelOracle(Dictator(6, 0), ds)
+        with pytest.raises(ValueError, match="integers"):
             oracle.labels_for(bad)
         assert (oracle.query_count, oracle.batches_drawn, oracle.phase_counts) == (0, 0, {})
 

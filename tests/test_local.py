@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 import treelab.learners
 from conftest import monotone_target
-from treelab.core import LabelOracle, Point, RandomnessTape, path_constraint
+from treelab.core import (LabeledDataset, LabelOracle, Point, RandomnessTape,
+                          path_constraint)
+from treelab.estimator import estimate_error
 from treelab.exhaustive import exact_size_expectation
 from treelab.impurity import GINI, depth_cap, depth_limit
 from treelab.learners import GrowthState, top_down_size_estimate
@@ -280,6 +282,40 @@ class TestForestWalk:
         for m in tape.uniform_masks(12, 50, "probe"):
             session.predict(int(m))
         assert len(grown) == 1
+
+
+class TestGlobalSize:
+    @given(st.integers(0, 10 ** 6), st.integers(1, 64), st.integers(1, 64),
+           st.sampled_from(["majority", "monotone", "table"]),
+           st.sampled_from(["nothing", "some points", "estimate"]))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_global_tree_size(self, seed, t, b, kind, before):
+        d = 10
+        target = {"majority": lambda: Majority(d),
+                  "monotone": lambda: monotone_target(seed, d=d),
+                  "table": lambda: random_truth_table(np.random.default_rng(seed), d),
+                  }[kind]()
+        tape = RandomnessTape(seed)
+        labeled = sample_dataset(target, 2048, tape)
+        oracle = LabelOracle(target, labeled.unlabeled())
+        session = LocalLearnerSession(t, b, labeled.unlabeled(), oracle, GINI, tape)
+        xs = tape.uniform_masks(d, 30, "probe")
+        if before == "some points":
+            for x in xs[:3]:
+                session.predict(int(x))
+        elif before == "estimate":
+            estimate_error(session, LabeledDataset(d, xs, target.eval_masks(xs)))
+        glob = top_down_size_estimate(t, b, labeled, GINI, tape)
+        assert session.global_size() == glob.tree.size
+        if before == "nothing":
+            # Exactly the records the global run fetched.
+            fetched = len(glob.growth.splits) + sum(
+                rec is not None for rec in glob.growth.leaves.values())
+            assert oracle.batches_drawn == fetched
+        # Every record is memoized, so asking again reveals nothing.
+        counts = (oracle.query_count, oracle.batches_drawn)
+        assert session.global_size() == glob.tree.size
+        assert (oracle.query_count, oracle.batches_drawn) == counts
 
 
 @pytest.mark.parametrize("seed, t", [(0, 32), (1, 64), (2, 16)])
