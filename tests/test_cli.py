@@ -111,7 +111,7 @@ class TestEstimate:
         assert str(payload["unique_labels"]) == fields["unique_labels"]
         assert str(payload["batches_drawn"]) == fields["batches"]
 
-    # Recorded when t' was still regrown from a fully labeled copy of the data.
+    # Where t' comes from must not change a byte of either output.
     MACHINE_LINE = "error=0.0 unique_labels=479 batches=25 t_prime=13\n"
     BUDGET_JSON = ('{\n  "batches_drawn": 25,\n  "bound": 52000,\n  "phases": {\n'
                    '    "strand-forest": 366,\n    "test-points": 113\n  },\n'
