@@ -211,6 +211,8 @@ def mask_bits(masks: np.ndarray, d: int) -> np.ndarray:
 # Dataset text is converted in blocks of rows holding about this many tokens,
 # whatever n is, so the working memory stays bounded.
 BLOCK_TOKENS = 1 << 14
+# Array scans and counts take blocks of this many rows, so no temporary is n-sized.
+BLOCK_ROWS = 1 << 16
 # Written text, NUL-padded to three bytes, of an entry -1/+1 inside a row
 # (codes 0/1), of one ending a row (2/3) and of a label 0/1 (4/5).
 _CELLS = np.frombuffer(b"-1 " b"1 \0" b"-1\n" b"1\n\0" b"0\n\0" b"1\n\0", np.uint8).reshape(6, 3)
@@ -366,8 +368,8 @@ def sample_points(d: int, n: int, tape: RandomnessTape, key: str = "train") -> U
 @dataclass
 class Minibatch:
     """Up to b dataset entries consistent with a leaf, drawn without
-    replacement.  labels is None when drawn from an unlabeled dataset.  A
-    LeafPools pool of more than b points has masks and labels None."""
+    replacement (labels None from an unlabeled dataset).  A LeafPools pool
+    of over b points has labels None, and masks only once it is a parent."""
 
     leaf_path: LeafPath
     indices: np.ndarray
@@ -381,9 +383,13 @@ class Minibatch:
 
 def consistent_indices(masks: np.ndarray, path: LeafPath) -> np.ndarray:
     """Ascending positions in `masks` of the points consistent with the leaf
-    path, in one scan of `masks` (LeafPools passes a parent pool's masks)."""
-    m, v = path_constraint(path)
-    hit = (masks & np.uint64(m)) == np.uint64(v)
+    path (an arange in the pools' dtype at the root), in one blocked scan."""
+    m, v = map(np.uint64, path_constraint(path))
+    if not path:
+        return np.arange(len(masks), dtype=np.int32 if len(masks) < 1 << 31 else np.int64)
+    hit = np.empty(len(masks), bool)
+    for lo in range(0, len(masks), BLOCK_ROWS):
+        np.equal(masks[lo:lo + BLOCK_ROWS] & m, v, out=hit[lo:lo + BLOCK_ROWS])
     return np.flatnonzero(hit)
 
 
@@ -391,12 +397,13 @@ class LeafPools:
     """Leaf pools: per requested leaf, the Minibatch of every point reaching
     it, indices ascending (int32 when n < 2^31, else int64).  A pool of at
     most b points carries masks and labels and is the leaf's whole batch; a
-    larger one has indices only.  A pool filters its nearest kept ancestor's
-    masks, gathered from the dataset if it has none, so a tree costs
-    O(n*depth) scanned points, not O(n*leaves); depth-0/1 leaves scan the
-    dataset.  A pool of all its source's points shares the source's arrays.
-    The root's pool is never kept; a parent's is dropped once both children
-    have theirs, and a leaf is kept only when first served."""
+    larger one has indices only until its first child's request gathers its
+    masks (never labels), once for every child.  A pool filters its nearest
+    kept ancestor's masks, or scans the dataset if it has none, so a tree
+    costs O(n*depth) scanned points, not O(n*leaves).  A pool of all its
+    source's points shares the source's arrays.  The root's pool is never
+    kept; a parent's is dropped once both children have theirs, and a leaf
+    is kept only when first served."""
 
     def __init__(self, dataset: AnyDataset, b: int):
         self.masks, self.labels, self.b = dataset.masks, getattr(dataset, "labels", None), b
@@ -410,20 +417,20 @@ class LeafPools:
             base = base[:-1]
         parent = self._pools.get(base)
         if parent is None:
-            at = consistent_indices(self.masks, path)
-            idx, source = at.astype(self._dtype), (self.masks, self.labels)
-        elif parent.masks is None:
-            # The gathered parent masks are freed before idx is gathered.
-            idx = parent.indices[consistent_indices(self.masks[parent.indices], path)]
-            at, source = idx, (self.masks, self.labels)
+            at = pos = consistent_indices(self.masks, path)
+            idx, masks, labels = at.astype(self._dtype, copy=False), self.masks, self.labels
         else:
+            if parent.masks is None:
+                parent.masks = self.masks.take(parent.indices)
             at = consistent_indices(parent.masks, path)
-            idx, source = parent.indices[at], (parent.masks, parent.labels)
+            idx, masks = parent.indices[at], parent.masks
+            labels, pos = (self.labels, idx) if parent.labels is None else (parent.labels, at)
         if len(idx) > self.b:
             pool = Minibatch(path, idx, None)
+        elif len(at) == len(masks):
+            pool = Minibatch(path, idx, masks, labels)
         else:
-            whole = len(at) == len(source[0])
-            pool = Minibatch(path, idx, *(a if a is None or whole else a[at] for a in source))
+            pool = Minibatch(path, idx, masks[at], None if labels is None else labels[pos])
         if path and path not in self._served:
             self._served.add(path)
             self._pools[path] = pool
@@ -489,7 +496,10 @@ class LabelOracle:
     """
 
     def __init__(self, target, dataset: UnlabeledDataset):
-        self._labels = as_labels(target.eval_masks(dataset.masks), dataset.n)
+        self._labels = np.empty(dataset.n, np.uint8)
+        for lo in range(0, dataset.n, BLOCK_ROWS):
+            block = dataset.masks[lo:lo + BLOCK_ROWS]
+            self._labels[lo:lo + BLOCK_ROWS] = as_labels(target.eval_masks(block), len(block))
         self._revealed = np.zeros(dataset.n, dtype=bool)
         self.query_count = 0
         self.batches_drawn = 0
@@ -507,7 +517,8 @@ class LabelOracle:
             raise ValueError(f"label indices must be integers in [0, {n})")
         indices = indices.astype(np.int64, copy=False)
         self.batches_drawn += 1
-        fresh = len(np.unique(indices[~self._revealed[indices]]))
+        new = np.sort(indices[~self._revealed[indices]])
+        fresh = int(np.count_nonzero(np.diff(new, prepend=-1)))
         if fresh:
             self._revealed[indices] = True
             self.query_count += fresh

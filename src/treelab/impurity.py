@@ -16,7 +16,7 @@ from typing import Callable, List, Union
 
 import numpy as np
 
-from .core import LeafPath, Minibatch, mask_bits, path_constraint, path_coords
+from .core import BLOCK_ROWS, LeafPath, Minibatch, mask_bits, path_constraint, path_coords
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -25,8 +25,6 @@ EXHAUSTIVE_DIM_LIMIT = 20
 # Batches of at least this many rows are counted by per-byte histograms,
 # smaller ones on an unpacked bit matrix, which is faster there.
 HISTOGRAM_ROWS = 1024
-# Histograms are counted over blocks of this many rows, to bound working memory.
-GAIN_BLOCK_ROWS = 1 << 16
 # _BYTE_BITS[v, i] is bit i of the byte value v.
 _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
                            bitorder="little").astype(np.int64)
@@ -110,7 +108,7 @@ def batch_local_gains(impurity: ImpurityFunction, masks: np.ndarray,
     bit-identical across platforms: on a k x d uint8 bit matrix unpacked
     from the masks' low ceil(d/8) bytes, or for k >= HISTOGRAM_ROWS from
     (byte value, label) histograms per low byte, summed over blocks of
-    GAIN_BLOCK_ROWS rows, mapped to bit counts.  Both give the same counts.
+    BLOCK_ROWS rows, mapped to bit counts.  Both give the same counts.
     Mask bits at or above d are ignored.
     """
     k = len(masks)
@@ -124,10 +122,10 @@ def batch_local_gains(impurity: ImpurityFunction, masks: np.ndarray,
     else:
         low = np.ascontiguousarray(masks, "<u8").view(np.uint8).reshape(-1, 8)
         counts = np.zeros(((d + 7) // 8, 2, 256), np.int64)
-        for lo in range(0, k, GAIN_BLOCK_ROWS):
-            label_bins = y[lo:lo + GAIN_BLOCK_ROWS].astype(np.int64) << 8
+        for lo in range(0, k, BLOCK_ROWS):
+            label_bins = y[lo:lo + BLOCK_ROWS].astype(np.int64) << 8
             for c, h in enumerate(counts):
-                h += np.bincount(low[lo:lo + GAIN_BLOCK_ROWS, c] + label_bins,
+                h += np.bincount(low[lo:lo + BLOCK_ROWS, c] + label_bins,
                                  minlength=512).reshape(2, 256)
         n_pos = np.concatenate([h.sum(axis=0) @ _BYTE_BITS for h in counts])[:d]
         s_pos = np.concatenate([h[1] @ _BYTE_BITS for h in counts])[:d]

@@ -2,6 +2,7 @@ import hashlib
 import io
 import sys
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -9,14 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treelab.core import (BLOCK_TOKENS, MAX_DIM, LabeledDataset, LabelOracle,
+from treelab.core import (BLOCK_ROWS, BLOCK_TOKENS, MAX_DIM, LabeledDataset, LabelOracle,
                           LeafPools, Point, RandomnessTape, RunTrace, StrandTracker,
                           UnlabeledDataset, _partial_shuffle_take,
                           consistent_indices, draw_minibatch, encode_path,
                           parse_path, path_constraint, point_reaches,
                           read_dataset, read_trace, sign_bit,
                           write_dataset, write_trace)
-from treelab.targets import Dictator
+from treelab.targets import Dictator, ReadOnceDNF
 
 
 def paths(max_d=8):
@@ -264,6 +265,53 @@ class TestLeafPools:
         assert pools(((0, 1), (1, -1))).indices.tolist() == [1]
         assert pools(((0, -1), (1, 1))).indices.size == 0
         assert pools(((0, 1), (1, 1))).indices.dtype == np.int32
+
+    def test_parent_masks_gathered_once_for_both_children(self):
+        ds = _dataset(n=500)
+        parent_path, b = ((1, -1),), 8
+        pools = LeafPools(ds, b)
+        parent = pools(parent_path)
+        assert len(parent.indices) > b and parent.masks is None
+        pools(parent_path + ((3, -1),))
+        gathered = parent.masks
+        assert gathered.tobytes() == ds.masks[parent.indices].tobytes()
+        assert parent.labels is None
+        scanned = []
+
+        def counted(masks, path):
+            scanned.append(masks)
+            return consistent_indices(masks, path)
+
+        dropped = weakref.ref(parent)
+        del parent
+        with mock.patch("treelab.core.consistent_indices", counted):
+            plus = pools(parent_path + ((3, 1),))
+        assert len(scanned) == 1 and scanned[0] is gathered
+        assert dropped() is None
+        assert plus.indices.tolist() == consistent_indices(ds.masks, plus.leaf_path).tolist()
+
+    @pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3])
+    def test_blocked_scan_equals_brute_force(self, n):
+        masks = np.random.default_rng(n).integers(0, 1 << 6, size=n, dtype=np.uint64)
+        points = masks.tolist()
+        for path in (((0, 1),), ((2, -1), (5, 1)), ((1, -1), (3, 1), (4, -1))):
+            want = [i for i, x in enumerate(points)
+                    if all((x >> c) & 1 == (s == 1) for c, s in path)]
+            assert consistent_indices(masks, path).tolist() == want
+
+    def test_root_pool_is_an_arange_not_copied(self):
+        ds = _dataset(n=300)
+        root = consistent_indices(ds.masks, ())
+        assert root.dtype == np.int32 and root.tolist() == list(range(300))
+        returned = []
+
+        def recorded(masks, path):
+            returned.append(consistent_indices(masks, path))
+            return returned[-1]
+
+        with mock.patch("treelab.core.consistent_indices", recorded):
+            pool = LeafPools(ds, 8)(())
+        assert pool.indices is returned[0]
 
     def test_draw_from_pool_equals_draw_from_scan(self, tape):
         ds = _dataset(n=500)
@@ -587,6 +635,31 @@ class TestLabelOracle:
         oracle.labels_for(np.array([1, 2, 3]))
         assert oracle.query_count == 4
         assert oracle.batches_drawn == 2
+
+    @pytest.mark.parametrize("dtype", [None, np.int32, np.uint64])
+    def test_duplicates_in_a_request_count_once(self, dtype):
+        ds = _dataset(d=6, n=50).unlabeled()
+        oracle = LabelOracle(Dictator(6, 0), ds)
+        oracle.labels_for(np.array([3, 3, 5], dtype))
+        assert oracle.query_count == 2
+        oracle.labels_for(np.array([5, 7, 7], dtype))
+        assert oracle.query_count == 3
+
+    def test_blocked_labels_equal_target_across_block_edge(self):
+        n = BLOCK_ROWS + 3
+        ds = UnlabeledDataset(20, np.random.default_rng(5).integers(0, 1 << 20, n, np.uint64))
+        target = ReadOnceDNF(20, (frozenset({0, 1}), frozenset({2, 3, 4})))
+        evaluated = []
+
+        class Counted:
+            def eval_masks(self, masks):
+                evaluated.append(len(masks))
+                return target.eval_masks(masks)
+
+        oracle = LabelOracle(Counted(), ds)
+        assert sum(evaluated) == n and max(evaluated) <= BLOCK_ROWS
+        got = oracle.labels_for(np.arange(n))
+        assert got.tobytes() == target.eval_masks(ds.masks).tobytes()
 
     def test_labels_match_target(self):
         ds = _dataset(d=6, n=50).unlabeled()

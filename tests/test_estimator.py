@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import treelab
 
 from conftest import monotone_target
 from treelab.core import LabeledDataset, LabelOracle, RandomnessTape
@@ -148,3 +154,28 @@ class TestBudgetReport:
 
         report = query_budget_report(QuietOracle(), t=t, b=b, n_test=1)
         assert report.bound == ((b + 1) * (D + 1) + 1) * b
+
+
+FRESH_ESTIMATE = """
+import sys
+from treelab.core import LabelOracle, RandomnessTape
+from treelab.estimator import estimate_learnability
+from treelab.impurity import GINI
+from treelab.targets import Majority, sample_dataset
+tape = RandomnessTape(3)
+labeled = sample_dataset(Majority(8), 2048, tape)
+test = sample_dataset(Majority(8), 20, tape, key="test")
+oracle = LabelOracle(Majority(8), labeled.unlabeled())
+rep = estimate_learnability(16, 32, labeled.unlabeled(), oracle, test, GINI, tape)
+assert rep.unique_labels > 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_estimate_leaves_numpy_ma_unimported():
+    # Importing numpy.ma costs about 15 ms, more than a small estimate.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(treelab.__file__)))
+    proc = subprocess.run([sys.executable, "-c", FRESH_ESTIMATE], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treelab import impurity
-from treelab.core import MAX_DIM, Minibatch
+from treelab.core import BLOCK_ROWS, MAX_DIM, Minibatch
 from treelab.exhaustive import local_gain_reference
-from treelab.impurity import (ENTROPY, GAIN_BLOCK_ROWS, GINI, HISTOGRAM_ROWS,
+from treelab.impurity import (ENTROPY, GINI, HISTOGRAM_ROWS,
                               KEARNS_MANSOUR, TheoryParams,
                               batch_local_gains, builtin_impurities, depth_cap,
                               g_impurity, get_impurity, local_gain, purity_gain,
@@ -220,10 +220,10 @@ class TestGainCounting:
                     assert got.tobytes() == unpacked.tobytes(), (d, k)
                     assert got.tobytes() == _int64_gains(g, masks, labels, d).tobytes()
 
-    @pytest.mark.parametrize("k", [1023, 1024, GAIN_BLOCK_ROWS - 1, GAIN_BLOCK_ROWS,
-                                   GAIN_BLOCK_ROWS + 1, 3 * GAIN_BLOCK_ROWS + 5])
+    @pytest.mark.parametrize("k", [1023, 1024, BLOCK_ROWS - 1, BLOCK_ROWS,
+                                   BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
     def test_block_counts_equal_per_coordinate_counts(self, k):
-        # Histograms are summed over blocks of GAIN_BLOCK_ROWS rows; partial
+        # Histograms are summed over blocks of BLOCK_ROWS rows; partial
         # and exact last blocks must count every row once.
         rng = np.random.default_rng(k)
         masks = rng.integers(0, 1 << 63, size=k, dtype=np.uint64) << np.uint64(1)
