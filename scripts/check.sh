@@ -7,6 +7,13 @@
 # pytest runs.
 set -e
 
+# The CLI reads each option's type, choices and whether it is required from
+# the table build_parser keeps, not from argparse's private attributes.
+if grep -nwE '_actions|_SubParsersAction|_choices_actions' src/treelab/*.py; then
+    echo "check.sh: src/treelab names a private argparse attribute" >&2
+    exit 1
+fi
+
 # --durations lists the slowest tier-1 tests, so where the suite's time goes
 # shows on every check.  -W error turns any warning, such as a numpy overflow,
 # cast or divide warning, into a failure.  The one warning ignored is raised

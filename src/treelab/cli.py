@@ -35,15 +35,6 @@ def _fmt(x: float, machine: bool) -> str:
     return repr(float(x)) if machine else f"{float(x):.6f}"
 
 
-def _need(args, *names) -> None:
-    """Required options are checked post-parse so a --config file can
-    supply them."""
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
-    if missing:
-        raise ValueError("missing required option(s): "
-                         + ", ".join("--" + n for n in missing))
-
-
 def _parse_point(text: str, d: int) -> Point:
     if len(text) != d or any(c not in "+-" for c in text):
         raise ValueError(f"--x must be a length-{d} string of '+'/'-', got {text!r}")
@@ -85,7 +76,6 @@ def _estimate(t, b, ds, target, test, impurity, tape):
 
 
 def cmd_gen_data(args) -> int:
-    _need(args, "target", "d", "n", "out")
     target = parse_target(args.target, args.d)
     tape = RandomnessTape(args.seed)
     if args.unlabeled:
@@ -99,7 +89,6 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _need(args, "t", "data")
     ds = _read(args.data, labeled=True)
     impurity = get_impurity(args.impurity)
     tape = RandomnessTape(args.seed)
@@ -125,7 +114,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_local_predict(args) -> int:
-    _need(args, "t", "unlabeled", "target", "x")
     ds = _read(args.unlabeled)
     target = parse_target(args.target, ds.d)
     x = _parse_point(args.x, ds.d)
@@ -142,7 +130,6 @@ def cmd_local_predict(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    _need(args, "t", "unlabeled", "target", "test")
     ds = _read(args.unlabeled)
     test = _read(args.test, labeled=True)
     target = parse_target(args.target, ds.d)
@@ -169,7 +156,6 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_size_estimate(args) -> int:
-    _need(args, "tree", "d")
     with open(args.tree, "r", encoding="utf-8") as fh:
         tree = parse_tree(fh.read(), args.d)
     tape = RandomnessTape(args.seed)
@@ -255,17 +241,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _need(args, "vary", "values", "target", "d")
     if args.theory:
         _print_theory(args, args.d, file=sys.stderr)  # keep stdout a clean table
     values = [int(v) for v in args.values.split(",")]
+    target = parse_target(args.target, args.d)
     impurity = get_impurity(args.impurity)
     rows = ["\t".join(["param", "error", "unique_labels", "t_prime"])]
     for value in values:
         for seed in range(args.seeds):
             size = {"t": args.t, "b": args.b, "n": args.n, args.vary: value}
             tape = RandomnessTape(args.seed + seed)
-            target = parse_target(args.target, args.d)
             train = sample_points(args.d, size["n"], tape, key="sweep-train")
             test = sample_dataset(target, args.test_n, tape, key="sweep-test")
             report, session = _estimate(size["t"], size["b"], train, target, test, impurity, tape)
@@ -286,80 +271,86 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser():
-    """The `treelab` parser and its subcommand parsers by name.  Subcommands
-    are registered here, at call time, so each runs the `cmd_*` function the
-    module binds when the parser is built."""
+    """The `treelab` parser, and per subcommand its options by dest: each
+    one's `Action` and whether the command needs it, from the command line or
+    a --config file.  Subcommands are registered at call time, so each runs
+    the `cmd_*` function the module binds when the parser is built."""
     parser = argparse.ArgumentParser(prog="treelab")
     subs = parser.add_subparsers(dest="command", required=True)
+    options = {}
 
     def sub(name, func, help, learner=False, t=None):
         p = subs.add_parser(name, help=help)
         p.set_defaults(func=func)
-        p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        p.add_argument("--machine", action="store_true", help="full-precision output")
-        p.add_argument("--config", default=None,
-                       help="file of 'key = value' lines; flags take precedence")
+        table = options[name] = {}
+
+        def add(flag, required=False, **kwargs):
+            action = p.add_argument(flag, **kwargs)
+            table[action.dest] = (action, required)
+
+        add("--seed", type=int, default=0, help="master seed (default 0)")
+        add("--machine", action="store_true", help="full-precision output")
+        add("--config", help="file of 'key = value' lines; flags take precedence")
         if learner:
-            p.add_argument("--t", type=int, default=t)
-            p.add_argument("--b", type=int, default=64)
-            p.add_argument("--impurity", default="gini")
-            p.add_argument("--theory", action="store_true",
-                           help="print the resolved parameter recommendations")
+            add("--t", required=t is None, type=int, default=t)
+            add("--b", type=int, default=64)
+            add("--impurity", default="gini")
+            add("--theory", action="store_true",
+                help="print the resolved parameter recommendations")
             for flag, default in (("--s", 8), ("--eps", 0.25), ("--delta", 0.1),
                                   ("--eta", 0.25), ("--slack-b", 1.0),
                                   ("--slack-n", 1.0), ("--slack-local", 1.0)):
-                p.add_argument(flag, type=type(default), default=default)
-        return p
+                add(flag, type=type(default), default=default)
+        return add
 
-    p = sub("gen-data", cmd_gen_data, "sample a dataset from a target")
-    p.add_argument("--target", default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--unlabeled", action="store_true")
+    add = sub("gen-data", cmd_gen_data, "sample a dataset from a target")
+    add("--target", required=True)
+    add("--d", required=True, type=int)
+    add("--n", required=True, type=int)
+    add("--out", required=True)
+    add("--unlabeled", action="store_true")
 
-    p = sub("train", cmd_train, "grow a tree from labeled data", learner=True)
-    p.add_argument("--algo", choices=["full", "minibatch", "size-estimate"],
-                   default="minibatch")
-    p.add_argument("--data", default=None)
-    p.add_argument("--out-tree", default=None)
-    p.add_argument("--out-trace", default=None)
+    add = sub("train", cmd_train, "grow a tree from labeled data", learner=True)
+    add("--algo", choices=["full", "minibatch", "size-estimate"], default="minibatch")
+    add("--data", required=True)
+    add("--out-tree")
+    add("--out-trace")
 
-    p = sub("local-predict", cmd_local_predict, "label one point with few queries",
-            learner=True)
-    p.add_argument("--unlabeled", default=None)
-    p.add_argument("--target", default=None)
-    p.add_argument("--x", default=None, help="point as a +/- string, e.g. '+-++'")
-    p.add_argument("--report-queries", action="store_true")
+    add = sub("local-predict", cmd_local_predict, "label one point with few queries",
+              learner=True)
+    add("--unlabeled", required=True)
+    add("--target", required=True)
+    add("--x", required=True, help="point as a +/- string, e.g. '+-++'")
+    add("--report-queries", action="store_true")
 
-    p = sub("estimate", cmd_estimate, "estimate the would-be tree's test error",
-            learner=True)
-    p.add_argument("--unlabeled", default=None)
-    p.add_argument("--target", default=None)
-    p.add_argument("--test", default=None)
-    p.add_argument("--budget-report", default=None)
+    add = sub("estimate", cmd_estimate, "estimate the would-be tree's test error",
+              learner=True)
+    add("--unlabeled", required=True)
+    add("--target", required=True)
+    add("--test", required=True)
+    add("--budget-report")
 
-    p = sub("size-estimate", cmd_size_estimate, "strand-based tree size estimate")
-    p.add_argument("--tree", default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--m", type=int, default=256)
-    p.add_argument("--exact", action="store_true")
+    add = sub("size-estimate", cmd_size_estimate, "strand-based tree size estimate")
+    add("--tree", required=True)
+    add("--d", required=True, type=int)
+    add("--m", type=int, default=256)
+    add("--exact", action="store_true")
 
-    p = sub("verify", cmd_verify, "run the brute-force self checks")
-    p.add_argument("--trials", type=int, default=100)
+    add = sub("verify", cmd_verify, "run the brute-force self checks")
+    add("--trials", type=int, default=100)
 
-    p = sub("sweep", cmd_sweep, "emit a TSV table over a parameter sweep",
-            learner=True, t=32)
-    p.add_argument("--vary", choices=["b", "t", "n"], default=None)
-    p.add_argument("--values", default=None, help="comma-separated values")
-    p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--target", default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--n", type=int, default=4096)
-    p.add_argument("--test-n", type=int, default=200)
-    p.add_argument("--out", default=None)
+    add = sub("sweep", cmd_sweep, "emit a TSV table over a parameter sweep",
+              learner=True, t=32)
+    add("--vary", required=True, choices=["b", "t", "n"])
+    add("--values", required=True, help="comma-separated values")
+    add("--seeds", type=int, default=20)
+    add("--target", required=True)
+    add("--d", required=True, type=int)
+    add("--n", type=int, default=4096)
+    add("--test-n", type=int, default=200)
+    add("--out")
 
-    return parser, subs.choices
+    return parser, options
 
 
 def _load_config(path: str) -> dict:
@@ -402,35 +393,39 @@ def _config_value(action: argparse.Action, raw: str):
 _UNSET = object()
 
 
-def _apply_config(parser: argparse.ArgumentParser, sub: argparse.ArgumentParser,
-                  cfg: dict, argv: list) -> None:
-    """Make the config values the subcommand's defaults, except for options
-    the command line gives.  Which those are comes from argparse's own parse
-    with the config keys' defaults unset, so abbreviated flags count too.
-    Values are converted in file order: of several bad ones, the file's
-    first is reported, however the options are declared."""
-    actions = {a.dest: a for a in sub._actions}
-    keys = [key for key in cfg if key in actions]
-    sub.set_defaults(**dict.fromkeys(keys, _UNSET))
-    given = vars(parser.parse_args(argv))
-    sub.set_defaults(**{key: _config_value(actions[key], cfg[key])
-                        for key in keys if given[key] is _UNSET})
+def _apply_config(parser, options: dict, cfg: dict, argv: list) -> argparse.Namespace:
+    """`argv` parsed with config values for the options the command line does
+    not give.  Which those are comes from argparse's own parse with the config
+    keys' defaults unset, so abbreviated flags count too.  Values are
+    converted in file order: of several bad ones, the file's first is
+    reported, however the options are declared."""
+    actions = {key: options[key][0] for key in cfg if key in options}
+    for action in actions.values():
+        action.default = _UNSET
+    args = parser.parse_args(argv)
+    for key, action in actions.items():
+        if getattr(args, key) is _UNSET:
+            setattr(args, key, _config_value(action, cfg[key]))
+    return args
 
 
 def main(argv: Optional[list] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subcommands = build_parser()
+    parser, options = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.config:
             cfg = _load_config(args.config)
-            known = {a.dest for sub in subcommands.values() for a in sub._actions
-                     if a.dest not in ("help", "config")}
+            known = {dest for table in options.values() for dest in table} - {"config"}
             unknown = [key for key in cfg if key not in known]
             if unknown:
                 raise ValueError(f"unknown config key {unknown[0]!r}")
-            _apply_config(parser, subcommands[args.command], cfg, argv)
-            args = parser.parse_args(argv)
+            args = _apply_config(parser, options[args.command], cfg, argv)
+        missing = [action.option_strings[0]
+                   for action, required in options[args.command].values()
+                   if required and getattr(args, action.dest) is None]
+        if missing:
+            raise ValueError("missing required option(s): " + ", ".join(missing))
         return args.func(args)
     except (OSError, ValueError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)

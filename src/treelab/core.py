@@ -496,6 +496,8 @@ class LabelOracle:
     """
 
     def __init__(self, target, dataset: UnlabeledDataset):
+        if target.d != dataset.d:
+            raise ValueError(f"target dimension {target.d} != dataset dimension {dataset.d}")
         self._labels = np.empty(dataset.n, np.uint8)
         for lo in range(0, dataset.n, BLOCK_ROWS):
             block = dataset.masks[lo:lo + BLOCK_ROWS]

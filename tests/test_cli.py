@@ -6,7 +6,7 @@ import statistics
 import pytest
 
 from treelab.cli import build_parser, main
-from treelab.targets import Majority, ReadOnceDNF
+from treelab.targets import Majority, ReadOnceDNF, parse_target
 from treelab.trees import parse_tree
 
 
@@ -213,6 +213,19 @@ class TestSweep:
                        "16\t0.32\t158\t7\n16\t0.2\t201\t8\n"
                        "32\t0.3\t351\t9\n32\t0.28\t311\t9\n")
 
+    def test_target_parsed_once_per_sweep(self, capsys, monkeypatch):
+        # A tree: target reads its file on every parse.
+        parsed = []
+
+        def counted(spec, d):
+            parsed.append(spec)
+            return parse_target(spec, d)
+
+        monkeypatch.setattr("treelab.cli.parse_target", counted)
+        code, out, _ = run_cli(capsys, *self.SWEEP, "--values", "16,32", "--seeds", "2")
+        assert code == 0 and len(out.splitlines()) == 1 + 2 * 2
+        assert parsed == ["majority"]
+
     def test_row_evaluates_target_on_n_plus_test_n_points(self, capsys, monkeypatch):
         # The oracle labels the n training points and the test set is labeled
         # once; drawing the training set labels none, and t' reads the
@@ -316,6 +329,28 @@ class TestConfigAndErrors:
                                  str(workdir["labeled"]), "--config", str(cfg))
         assert code == 1 and out == ""
         assert err == f"error: unknown config key {key!r}\n"
+
+    @pytest.mark.parametrize("command, missing", [
+        ("gen-data", "--target, --d, --n, --out"),
+        ("train", "--t, --data"),
+        ("local-predict", "--t, --unlabeled, --target, --x"),
+        ("estimate", "--t, --unlabeled, --target, --test"),
+        ("size-estimate", "--tree, --d"),
+        ("sweep", "--vary, --values, --target, --d"),
+    ])
+    def test_missing_required_options_reported_together(self, capsys, command, missing):
+        code, out, err = run_cli(capsys, command)
+        assert (code, out) == (1, "")
+        assert err == f"error: missing required option(s): {missing}\n"
+
+    def test_config_file_supplies_required_option(self, workdir, capsys):
+        cfg = workdir["tmp"] / "data.cfg"
+        cfg.write_text(f"data = {workdir['labeled']}\n")
+        code, out, err = run_cli(capsys, "train", "--t", "4", "--config", str(cfg))
+        assert (code, err) == (0, "") and out.startswith("size=4")
+        code, out, err = run_cli(capsys, "train", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == "error: missing required option(s): --t\n"
 
     def test_config_keys_of_other_subcommands_allowed(self, workdir, capsys):
         # One config file serves every subcommand: vary (sweep), x

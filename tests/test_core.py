@@ -17,7 +17,7 @@ from treelab.core import (BLOCK_ROWS, BLOCK_TOKENS, MAX_DIM, LabeledDataset, Lab
                           parse_path, path_constraint, point_reaches,
                           read_dataset, read_trace, sign_bit,
                           write_dataset, write_trace)
-from treelab.targets import Dictator, ReadOnceDNF
+from treelab.targets import Dictator, Majority, ReadOnceDNF
 
 
 def paths(max_d=8):
@@ -652,6 +652,8 @@ class TestLabelOracle:
         evaluated = []
 
         class Counted:
+            d = 20
+
             def eval_masks(self, masks):
                 evaluated.append(len(masks))
                 return target.eval_masks(masks)
@@ -660,6 +662,10 @@ class TestLabelOracle:
         assert sum(evaluated) == n and max(evaluated) <= BLOCK_ROWS
         got = oracle.labels_for(np.arange(n))
         assert got.tobytes() == target.eval_masks(ds.masks).tobytes()
+
+    def test_target_of_another_dimension_rejected(self):
+        with pytest.raises(ValueError, match="target dimension 8 != dataset dimension 4"):
+            LabelOracle(Majority(8), UnlabeledDataset(4, np.arange(16)))
 
     def test_labels_match_target(self):
         ds = _dataset(d=6, n=50).unlabeled()

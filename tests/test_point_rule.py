@@ -150,6 +150,6 @@ def test_truth_table_entries_are_labels(bad):
 
 @pytest.mark.parametrize("label", [2, 0.5], ids=repr)
 def test_label_oracle_checks_its_targets_labels(label):
-    target = SimpleNamespace(eval_masks=lambda masks: np.full(len(masks), label))
+    target = SimpleNamespace(d=D, eval_masks=lambda masks: np.full(len(masks), label))
     with pytest.raises(ValueError, match="labels must be 0 or 1"):
         LabelOracle(target, UnlabeledDataset(D, [3, 5]))
