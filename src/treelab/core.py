@@ -398,8 +398,8 @@ class LeafPools:
     it, indices ascending (int32 when n < 2^31, else int64).  A pool of at
     most b points carries masks and labels and is the leaf's whole batch; a
     larger one has indices only until its first child's request gathers its
-    masks (never labels), once for every child.  A pool filters its nearest
-    kept ancestor's masks, or scans the dataset if it has none, so a tree
+    masks (never labels), once for every child.  A pool filters its parent's
+    masks while the parent's pool is kept, else scans the dataset, so a tree
     costs O(n*depth) scanned points, not O(n*leaves).  A pool of all its
     source's points shares the source's arrays.  The root's pool is never
     kept; a parent's is dropped once both children have theirs, and a leaf
@@ -412,10 +412,7 @@ class LeafPools:
         self._served: set = set()
 
     def __call__(self, path: LeafPath) -> Minibatch:
-        base = path[:-1]
-        while base and base not in self._pools:
-            base = base[:-1]
-        parent = self._pools.get(base)
+        parent = self._pools.get(path[:-1])
         if parent is None:
             at = pos = consistent_indices(self.masks, path)
             idx, masks, labels = at.astype(self._dtype, copy=False), self.masks, self.labels
@@ -613,9 +610,6 @@ class StrandTracker:
         self.masks = np.asarray(masks, dtype=np.uint64)
         self.members = {(): np.arange(len(self.masks))} if len(self.masks) else {}
         self.total = len(self.masks)
-
-    def __len__(self) -> int:
-        return len(self.masks)
 
     def advance(self, split_path: LeafPath, coord: int) -> None:
         """Move every point sitting at split_path into its child."""

@@ -169,6 +169,8 @@ def leaf_source(dataset: AnyDataset, impurity: ImpurityFunction, b: int,
     """record(path) scoring each leaf on its path-keyed minibatch of size b
     (every consistent point when at most b are), labeled by `oracle` when
     given, else by the dataset."""
+    if oracle is None and not isinstance(dataset, LabeledDataset):
+        raise ValueError("learner needs a labeled dataset or a label oracle")
     pools = LeafPools(dataset, b)
 
     def record(path: LeafPath) -> LeafRecord:

@@ -39,7 +39,7 @@ from .core import (STRAND_DOMAIN, LabelOracle, Point, RandomnessTape,
                    sign_bit)
 from .impurity import ImpurityFunction, depth_limit
 from .learners import GrowthState, completion_label, leaf_source
-from .trees import Tree, leaf_paths
+from .trees import Tree, tree_splits
 
 
 def estimate_size(tree: Tree, strand_points: Sequence) -> float:
@@ -47,10 +47,7 @@ def estimate_size(tree: Tree, strand_points: Sequence) -> float:
     unbiased for the leaf count.  Accepts Points or packed masks.  The
     tree's splits are replayed, parents first, through a StrandTracker."""
     tracker = StrandTracker(as_masks(tree.d, strand_points))
-    # Each split is inserted with the first leaf under it, after its parent.
-    splits = {path[:k]: path[k][0] for path, _ in leaf_paths(tree)
-              for k in range(len(path))}
-    for path, coord in splits.items():
+    for path, coord in tree_splits(tree).items():
         tracker.advance(path, coord)
     return tracker.size_estimate()
 

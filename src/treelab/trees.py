@@ -47,7 +47,7 @@ class Tree:
 
     @property
     def depth(self) -> int:
-        return _depth(self.root)
+        return max(len(path) for path, _ in leaf_paths(self))
 
     def is_complete(self) -> bool:
         return all(lbl is not None for _, lbl in leaf_paths(self))
@@ -70,12 +70,6 @@ def count_leaves(node: Node) -> int:
     if isinstance(node, Leaf):
         return 1
     return count_leaves(node.neg) + count_leaves(node.pos)
-
-
-def _depth(node: Node) -> int:
-    if isinstance(node, Leaf):
-        return 0
-    return 1 + max(_depth(node.neg), _depth(node.pos))
 
 
 def leaf_paths(tree: Tree) -> List[tuple]:
@@ -160,35 +154,28 @@ def tree_from_splits(d: int, splits: dict, labels: dict) -> Tree:
     return Tree(d, rec(()))
 
 
+def tree_splits(tree: Tree) -> dict:
+    """{path: coord} of every internal node, each listed after its parent:
+    the inverse of tree_from_splits."""
+    # Each split is inserted with the first leaf under it, after its parent.
+    return {path[:k]: path[k][0] for path, _ in leaf_paths(tree)
+            for k in range(len(path))}
+
+
 def split_leaf(tree: Tree, path: LeafPath, coord: int) -> Tree:
-    """New tree with the leaf at `path` split on `coord` (children unlabeled)."""
-
-    def rec(node: Node, rest: LeafPath) -> Node:
-        if not rest:
-            if not isinstance(node, Leaf):
-                raise ValueError("path does not end at a leaf")
-            return Split(coord, Leaf(node.label), Leaf(node.label))
-        (c, s), tail = rest[0], rest[1:]
-        if not isinstance(node, Split) or node.coord != c:
-            raise ValueError("path does not match tree structure")
-        if s == 1:
-            return Split(c, node.neg, rec(node.pos, tail))
-        return Split(c, rec(node.neg, tail), node.pos)
-
-    return Tree(tree.d, rec(tree.root, path))
+    """New tree with the leaf at `path` split on `coord`, both children
+    keeping the leaf's label."""
+    labels = dict(leaf_paths(tree))
+    if path not in labels:
+        raise ValueError("path does not end at a leaf")
+    labels.update({path + ((coord, sign),): labels[path] for sign in (-1, 1)})
+    return tree_from_splits(tree.d, {**tree_splits(tree), path: coord}, labels)
 
 
 def relabel(tree: Tree, labeler: Callable[[LeafPath], int]) -> Tree:
     """Complete (or relabel) every leaf via labeler(path)."""
-
-    def rec(node: Node, path: LeafPath) -> Node:
-        if isinstance(node, Leaf):
-            return Leaf(int(labeler(path)))
-        return Split(node.coord,
-                     rec(node.neg, path + ((node.coord, -1),)),
-                     rec(node.pos, path + ((node.coord, 1),)))
-
-    return Tree(tree.d, rec(tree.root, ()))
+    return tree_from_splits(tree.d, tree_splits(tree),
+                            {path: int(labeler(path)) for path, _ in leaf_paths(tree)})
 
 
 def random_partial_tree(rng: np.random.Generator, d: int, n_leaves: int,

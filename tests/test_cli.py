@@ -135,6 +135,12 @@ class TestEstimate:
         assert err == "error: unique labels 479 exceed budget 32\n"
         assert not report.exists()
 
+    def test_theory_line_follows_the_result(self, workdir, capsys):
+        code, out, err = run_cli(capsys, *self._args(workdir, "--machine", "--theory"))
+        lines = out.splitlines(keepends=True)
+        assert (code, err, len(lines)) == (0, "", 2)
+        assert lines[0] == self.MACHINE_LINE and lines[1].startswith("theory: D=")
+
     def test_machine_mode_full_precision(self, workdir, capsys):
         _, human, _ = run_cli(capsys, *self._args(workdir))
         _, machine, _ = run_cli(capsys, *self._args(workdir, "--machine"))
@@ -159,6 +165,15 @@ class TestLocalPredict:
             capsys, "local-predict", "--t", "16", "--unlabeled",
             str(workdir["unlabeled"]), "--target", workdir["spec"], "--x", "+-")
         assert code == 1 and "--x" in err
+
+    def test_theory_line_follows_the_label(self, workdir, capsys):
+        code, out, err = run_cli(
+            capsys, "local-predict", "--t", "16", "--b", "32", "--seed", "7",
+            "--unlabeled", str(workdir["unlabeled"]), "--target", workdir["spec"],
+            "--x", "+---------", "--theory")
+        lines = out.splitlines()
+        assert (code, err, len(lines)) == (0, "", 2)
+        assert lines[0] == "label=1" and lines[1].startswith("theory: D=")
 
 
 class TestSizeEstimate:
@@ -212,6 +227,13 @@ class TestSweep:
         assert out == ("param\terror\tunique_labels\tt_prime\n"
                        "16\t0.32\t158\t7\n16\t0.2\t201\t8\n"
                        "32\t0.3\t351\t9\n32\t0.28\t311\t9\n")
+
+    def test_theory_line_goes_to_stderr(self, capsys):
+        _, table, _ = run_cli(capsys, *self.SWEEP, "--values", "16", "--seeds", "1")
+        code, out, err = run_cli(capsys, *self.SWEEP, "--values", "16", "--seeds", "1",
+                                 "--theory")
+        assert (code, out) == (0, table)
+        assert err.startswith("theory: D=") and err.count("\n") == 1
 
     def test_target_parsed_once_per_sweep(self, capsys, monkeypatch):
         # A tree: target reads its file on every parse.
@@ -314,6 +336,19 @@ class TestConfigAndErrors:
         code, out, _ = run_cli(capsys, "train", "--data", str(workdir["labeled"]),
                                "--conf", str(cfg), "--mach")
         assert code == 0 and out.startswith("size=4")
+
+    @pytest.mark.parametrize("text, flags", [
+        ("machine = yes\ntheory = off\n", ["--machine"]),
+        ("machine = 0\ntheory = On\n", ["--theory"]),
+    ])
+    def test_config_file_sets_on_off_flags(self, workdir, capsys, text, flags):
+        cfg = workdir["tmp"] / "flags.cfg"
+        cfg.write_text(text)
+        argv = ["train", "--t", "8", "--algo", "size-estimate",
+                "--data", str(workdir["labeled"])]
+        want = run_cli(capsys, *argv, *flags)
+        assert want[0] == 0
+        assert run_cli(capsys, *argv, "--config", str(cfg)) == want
 
     @pytest.mark.parametrize("text, key", [
         ("tt = 4\nimpurty = entropy\n", "tt"),

@@ -66,6 +66,11 @@ class TestLeafPaths:
         with pytest.raises(ValueError, match="malformed path"):
             parse_path(bad)
 
+    @pytest.mark.parametrize("bad", ["3", "3x", "+", "1+2"])
+    def test_sign_missing_or_unknown_character_rejected(self, bad):
+        with pytest.raises(ValueError, match="malformed path"):
+            parse_path(bad)
+
     def test_constraint_matches_membership(self):
         path = ((0, 1), (3, -1))
         m, v = path_constraint(path)
@@ -727,6 +732,23 @@ class TestRunTrace:
                                       "1 0+ 1 2 0.5 2.0\n"])
     def test_coordinates_below_one_rejected(self, line):
         with pytest.raises(ValueError):
+            read_trace(io.StringIO(line))
+
+    def test_blank_lines_skipped(self):
+        buf = io.StringIO()
+        write_trace(self._trace(), buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        back = read_trace(io.StringIO("\n" + lines[0] + "  \n\n" + lines[1] + "\n"))
+        assert [(e.j, e.path, e.coord) for e in back] == [(1, (), 3), (2, ((3, -1),), 1)]
+
+    @pytest.mark.parametrize("line, match", [
+        ("1 . 0 1 0.5\n", "malformed trace line"),
+        ("1 . 0 1 0.5 2.0 7\n", "malformed trace line"),
+        ("1 3+ 0 1 0.5 2.0\n", "depth field disagrees"),
+        ("1 . 1 1 0.5 2.0\n", "depth field disagrees"),
+    ])
+    def test_wrong_field_count_or_depth_rejected(self, line, match):
+        with pytest.raises(ValueError, match=match):
             read_trace(io.StringIO(line))
 
     def test_validate_catches_depth_cap(self):

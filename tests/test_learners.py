@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import treelab
 from conftest import full_truth_table_dataset, monotone_target
-from treelab.core import LabeledDataset, LeafPools, Minibatch, RandomnessTape
+from treelab.core import (LabeledDataset, LeafPools, Minibatch, RandomnessTape,
+                          UnlabeledDataset)
 from treelab.exhaustive import check_shallow_splits
 from treelab.impurity import (GINI, ImpurityFunction, depth_cap, depth_limit,
                               g_impurity)
@@ -248,6 +249,16 @@ class TestLeafSource:
         assert np.shares_memory(root.masks, ds.masks)
         assert np.shares_memory(root.labels, ds.labels)
         assert root.indices.tolist() == list(range(ds.n))
+
+    @pytest.mark.parametrize("learn", [
+        lambda ds, tape: top_down_full(8, ds, GINI),
+        lambda ds, tape: minibatch_top_down(8, 16, ds, GINI, tape),
+        lambda ds, tape: top_down_size_estimate(8, 16, ds, GINI, tape),
+    ], ids=["full", "minibatch", "size-estimate"])
+    def test_unlabeled_dataset_without_oracle_rejected(self, learn):
+        ds = UnlabeledDataset(6, np.arange(64))
+        with pytest.raises(ValueError, match="labeled dataset or a label oracle"):
+            learn(ds, RandomnessTape(1))
 
 
 class TestFrontierHeap:

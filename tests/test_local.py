@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treelab.core
 import treelab.learners
 from conftest import monotone_target
 from treelab.core import (LabeledDataset, LabelOracle, Point, RandomnessTape,
@@ -10,7 +11,8 @@ from treelab.core import (LabeledDataset, LabelOracle, Point, RandomnessTape,
 from treelab.estimator import estimate_error
 from treelab.exhaustive import exact_size_expectation
 from treelab.impurity import GINI, depth_cap, depth_limit
-from treelab.learners import GrowthState, top_down_size_estimate
+from treelab.learners import (GrowthState, minibatch_top_down, top_down_full,
+                              top_down_size_estimate)
 from treelab.local import LocalLearnerSession, estimate_size, local_learner
 from treelab.targets import Majority, random_truth_table, sample_dataset
 from treelab.trees import (Leaf, Split, Tree, evaluate_masks, leaf_of,
@@ -330,3 +332,34 @@ def test_session_scans_n_per_level(points_scanned, seed, t):
         session.predict(int(x))
     assert len(session.split_choices) > t // 2
     assert points_scanned[0] <= ds.n * (2 * depth_limit(t) + 3)
+
+
+@pytest.mark.parametrize("run", ["full", "minibatch", "size-estimate", "session"])
+def test_only_the_root_and_its_children_scan_the_dataset(monkeypatch, run):
+    # Every deeper leaf's parent pool is still kept when the leaf is first
+    # requested, so its pool filters the parent's, never the dataset's.
+    target = random_truth_table(np.random.default_rng(5), 12)
+    tape = RandomnessTape(5)
+    labeled = sample_dataset(target, 4096, tape)
+    ds = labeled.unlabeled() if run == "session" else labeled
+    scan, from_dataset = treelab.core.consistent_indices, set()
+
+    def watched(masks, path):
+        if masks is ds.masks:
+            from_dataset.add(path)
+        return scan(masks, path)
+
+    monkeypatch.setattr(treelab.core, "consistent_indices", watched)
+    if run == "session":
+        session = LocalLearnerSession(64, 32, ds, LabelOracle(target, ds), GINI, tape)
+        for x in tape.uniform_masks(12, 20, "probe"):
+            session.predict(int(x))
+        assert session.global_size() > 32
+    else:
+        learn = {"full": lambda: top_down_full(64, ds, GINI),
+                 "minibatch": lambda: minibatch_top_down(64, 32, ds, GINI, tape),
+                 "size-estimate": lambda: top_down_size_estimate(64, 32, ds, GINI, tape),
+                 }[run]
+        assert learn().tree.size > 32
+    assert () in from_dataset and all(len(path) <= 1 for path in from_dataset)
+    assert any(len(path) == 1 for path in from_dataset)

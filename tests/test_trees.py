@@ -8,7 +8,8 @@ from treelab.exhaustive import evaluate_tree_reference, leaf_of_reference
 from treelab.trees import (Leaf, Split, Tree, count_leaves, evaluate_masks,
                            evaluate_tree, leaf_of, leaf_paths,
                            parse_tree, random_partial_tree, relabel,
-                           serialize_tree, split_leaf, tree_from_splits)
+                           serialize_tree, split_leaf, tree_from_splits,
+                           tree_splits)
 
 
 def random_labeled_tree(seed, d=6, n_leaves=8, max_depth=None):
@@ -124,9 +125,33 @@ class TestStructure:
         assert bigger.size == 3
         assert leaf_of(bigger, Point.from_signs([1, -1, 1])) == ((0, 1), (2, 1))
 
+    def test_split_leaf_children_keep_the_leaf_label(self):
+        tree = Tree(3, Split(0, Leaf(0), Leaf(1)))
+        assert split_leaf(tree, ((0, 1),), 2) == Tree(
+            3, Split(0, Leaf(0), Split(2, Leaf(1), Leaf(1))))
+
+    @pytest.mark.parametrize("path", [(), ((0, 1),), ((2, 1),), ((0, -1), (1, 1)),
+                                      ((0, 1), (1, 1), (2, 1))],
+                             ids=["root", "internal", "off-tree", "below-leaf", "too-deep"])
+    def test_split_leaf_rejects_a_path_not_ending_at_a_leaf(self, path):
+        tree = Tree(4, Split(0, Leaf(0), Split(1, Leaf(1), Leaf(0))))
+        with pytest.raises(ValueError, match="path does not"):
+            split_leaf(tree, path, 3)
+
     def test_tree_from_splits(self):
         tree = tree_from_splits(3, {(): 1}, {((1, -1),): 0, ((1, 1),): 1})
         assert evaluate_tree(tree, Point.from_signs([-1, 1, -1])) == 1
+
+    @given(tree_seeds, st.integers(1, 30))
+    @settings(max_examples=50, deadline=None)
+    def test_tree_splits_inverts_tree_from_splits(self, seed, n_leaves):
+        partial = random_partial_tree(np.random.default_rng(seed), 8, n_leaves)
+        for tree in (partial, random_labeled_tree(seed, d=8, n_leaves=n_leaves)):
+            splits = tree_splits(tree)
+            assert len(splits) == tree.size - 1
+            assert tree_from_splits(tree.d, splits, dict(leaf_paths(tree))) == tree
+            keys = list(splits)
+            assert all(keys.index(path[:-1]) < k for k, path in enumerate(keys) if path)
 
     @given(tree_seeds, st.integers(2, 30), st.integers(1, 5))
     @settings(max_examples=30, deadline=None)
