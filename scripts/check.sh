@@ -35,5 +35,19 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 scripts/label_complexity.py --
 DEMO_TMP=$(mktemp -d)
 trap 'rm -rf "$DEMO_TMP"' EXIT
 TMPDIR=$DEMO_TMP sh scripts/demo.sh
+# Each file gen-data writes, labeled or not, reads back and is written again
+# byte for byte, so the reader and the writer agree on the CLI's own files.
+for d in 10 63; do
+    for unlabeled in "" --unlabeled; do
+        PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -m treelab.cli gen-data \
+            --target 'dnf:1|2&3' --d "$d" --n 5000 --seed 1 --out "$DEMO_TMP/gen.txt" $unlabeled > /dev/null
+        PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -c '
+import sys
+from treelab.core import read_dataset, write_dataset
+with open(sys.argv[1], encoding="utf-8") as src, open(sys.argv[2], "w", encoding="utf-8") as dst:
+    write_dataset(read_dataset(src), dst)' "$DEMO_TMP/gen.txt" "$DEMO_TMP/again.txt"
+        cmp "$DEMO_TMP/gen.txt" "$DEMO_TMP/again.txt"
+    done
+done
 # Every change reports the library's line count the same way.
 wc -l src/treelab/*.py | tail -1

@@ -208,17 +208,18 @@ def mask_bits(masks: np.ndarray, d: int) -> np.ndarray:
     return np.unpackbits(low, axis=1, count=d, bitorder="little")
 
 
-# Dataset text is converted in blocks of rows holding about this many tokens,
-# whatever n is, so the working memory stays bounded.
+# Dataset text is written in blocks of rows holding about this many cells, and
+# read in blocks of BLOCK_CHARS characters, so the working memory stays
+# bounded whatever n is.
 BLOCK_TOKENS = 1 << 14
+BLOCK_CHARS = 1 << 16
 # Array scans and counts take blocks of this many rows, so no temporary is n-sized.
 BLOCK_ROWS = 1 << 16
-# Written text, NUL-padded to three bytes, of an entry -1/+1 inside a row
-# (codes 0/1), of one ending a row (2/3) and of a label 0/1 (4/5).
-_CELLS = np.frombuffer(b"-1 " b"1 \0" b"-1\n" b"1\n\0" b"0\n\0" b"1\n\0", np.uint8).reshape(6, 3)
-# Whether str.split() separates on a code point: all such are below U+3001,
-# and the last slot stands for every code point above.
-_SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
+# Byte classes of read text: 1 for an ASCII byte str.split() separates on,
+# 2 for '-', 3 for a digit '0'/'1', 0 for any other byte.
+_KIND = np.zeros(256, np.uint8)
+_KIND[[c for c in range(128) if chr(c).isspace()]] = 1
+_KIND[[ord("-"), ord("0"), ord("1")]] = 2, 3, 3
 
 
 def write_dataset(ds: AnyDataset, fp: IO[str]) -> None:
@@ -226,14 +227,21 @@ def write_dataset(ds: AnyDataset, fp: IO[str]) -> None:
     {-1,1}, followed by the label for labeled datasets."""
     fp.write(f"{ds.d} {ds.n}\n")
     step = max(1, BLOCK_TOKENS // (ds.d + 1))
+    labeled = isinstance(ds, LabeledDataset)
     for lo in range(0, ds.n, step):
-        codes = mask_bits(ds.masks[lo:lo + step], ds.d)
-        if isinstance(ds, LabeledDataset):
-            codes = np.column_stack([codes, ds.labels[lo:lo + step] + 4])
-        else:
-            codes[:, -1] += 2
-        text = _CELLS[codes].ravel()
-        fp.write(text[text != 0].tobytes().decode("ascii"))
+        # Each cell is '1' or '-1' (an entry) or '0'/'1' (a label), then a
+        # space or, at a row's end, '\n': written at its end offset.
+        masks = ds.masks[lo:lo + step]
+        widths = np.full((len(masks), ds.d + labeled), 2, np.uint8)
+        widths[:, :ds.d] += 1 - mask_bits(masks, ds.d)
+        ends = np.cumsum(widths, dtype=np.int64).reshape(widths.shape)
+        text = np.full(ends[-1, -1], ord(" "), np.uint8)
+        text[ends - 2] = ord("1")
+        text[np.extract(widths == 3, ends) - 3] = ord("-")
+        text[ends[:, -1] - 1] = ord("\n")
+        if labeled:
+            text[ends[:, -1] - 2] = ds.labels[lo:lo + step] + ord("0")
+        fp.write(text.tobytes().decode("ascii"))
 
 
 def read_dataset(fp: IO[str]) -> AnyDataset:
@@ -246,20 +254,28 @@ def read_dataset(fp: IO[str]) -> AnyDataset:
         raise ValueError(f"dataset size must be >= 0, got {n}")
     # Grown as rows arrive, so the header's n alone allocates nothing.
     masks, labels = array("Q"), bytearray()
-    labeled = None
-    step = max(1, BLOCK_TOKENS // (d + 1))
-    for lo in range(0, n, step):
-        lines = [fp.readline() for _ in range(min(step, n - lo))]
+    labeled, rest = None, ""
+    while len(masks) < n:
+        chunk = fp.read(BLOCK_CHARS)
+        # Whole rows only; at the end of the stream the last row need not end
+        # in '\n', and each missing row reads as an empty one.
+        text = rest + chunk if chunk else rest + "\n"
+        cut = text.rfind("\n") + 1
+        text, rest = text[:cut], text[cut:]
+        if not text:
+            continue
+        if len(text) > n - len(masks) and text.count("\n") > n - len(masks):
+            *_, tail = text.split("\n", n - len(masks))
+            text, rest = text[:len(text) - len(tail)], tail + rest
         if labeled is None:
-            width = len(lines[0].split())
+            width = len(text[:text.find("\n")].split())
             if width not in (d, d + 1):
                 raise ValueError(f"row 0: expected {d} or {d + 1} fields")
             labeled = width == d + 1
-        block_masks, block_labels = _read_block(lines, lo, d, labeled)
+        block_masks, block_labels = _read_block(text, len(masks), d, labeled)
         masks.frombytes(block_masks.tobytes())
-        if labeled:
-            labels += block_labels.tobytes()
-    if fp.read().strip():
+        labels += block_labels.tobytes()
+    if (rest + fp.read()).strip():
         raise ValueError(f"content after the {n} rows the header declares")
     masks = np.frombuffer(masks, dtype=np.uint64)
     if labeled:
@@ -267,37 +283,33 @@ def read_dataset(fp: IO[str]) -> AnyDataset:
     return UnlabeledDataset(d, masks)
 
 
-def _read_block(lines: list, lo: int, d: int, labeled: bool) -> tuple:
-    """Masks and labels of the rows `lines`, the first being row `lo`: rows of
-    d tokens '1'/'-1' and a label '0'/'1' are converted together, any other row
-    by `_parse_row` in row order, so the first bad row raises its own error."""
-    k, width = len(lines), d + labeled
-    # One element per code point; a trailing space makes every token's second
-    # code point readable.
-    codes = np.frombuffer("".join([*lines, " "]).encode("utf-32-le", "surrogatepass"), "<u4")
-    blank = np.concatenate(([True], np.take(_SPACE, codes, mode="clip")))
-    edges = np.flatnonzero(blank[:-1] != blank[1:])
-    starts, ends = edges[0::2], edges[1::2]
-    cuts = np.searchsorted(starts, np.cumsum(np.fromiter(map(len, lines), np.int64, k)))
-    counts = np.diff(cuts, prepend=0)  # tokens per row
-    canonical = counts == width
-    tokens = np.repeat(canonical, counts)
-    first = starts[tokens].reshape(-1, width)
-    size, head = ends[tokens].reshape(-1, width) - first, codes[first]
-    one = (size == 1) & (head == ord("1"))
-    minus_one = (size == 2) & (head == ord("-")) & (codes[first + 1] == ord("1"))
-    valid = (one | minus_one)[:, :d].all(axis=1)
-    if labeled:
-        valid &= one[:, d] | ((size[:, d] == 1) & (head[:, d] == ord("0")))
-    canonical[canonical] = valid
-    ones = one[valid]
-    block_masks, block_labels = np.zeros(k, np.uint64), np.zeros(k, np.uint8)
-    block_masks[canonical] = ones[:, :d] @ (np.uint64(1) << np.arange(d, dtype=np.uint64))
-    if labeled:
-        block_labels[canonical] = ones[:, d]
-    for r in np.flatnonzero(~canonical):
-        block_masks[r], block_labels[r] = _parse_row(lines[r], lo + int(r), d, labeled)
-    return block_masks, block_labels
+def _read_block(text: str, row: int, d: int, labeled: bool) -> tuple:
+    """Masks and labels of the rows of `text`, each ending in '\\n', the first
+    being row `row`.  A block of ASCII rows of d entries '1'/'-1' (and a label
+    '0'/'1') split by whitespace is converted on its bytes at once; any other
+    block row by row by `_parse_row`, so the first bad row raises its error."""
+    width = d + labeled
+    if text.isascii():
+        b = np.frombuffer(text.encode("ascii"), np.uint8)
+        kind = np.take(_KIND, b)
+        digits, ends = np.flatnonzero(kind == 3), np.flatnonzero(b == ord("\n"))
+        # Exactly `width` digits between consecutive newlines, each followed
+        # by whitespace, and every '-' right before one of them.
+        if (kind.all() and len(digits) == width * len(ends)
+                and (digits[width - 1::width] < ends).all()
+                and (ends[:-1] < digits[width::width]).all()
+                and (kind[digits + 1] == 1).all()):
+            minus = (b[digits - 1] == ord("-")).reshape(-1, width)
+            value = b[digits].reshape(-1, width)
+            if (np.count_nonzero(kind == 2) == np.count_nonzero(minus)
+                    and (value[:, :d] == ord("1")).all() and not minus[:, d:].any()):
+                plus = np.zeros((len(value), 64), bool)
+                np.logical_not(minus[:, :d], out=plus[:, :d])
+                labels = value[:, d:].ravel() - ord("0")
+                return np.packbits(plus, bitorder="little").view("<u8"), labels
+    rows = [_parse_row(line, row + i, d, labeled) for i, line in enumerate(text.split("\n")[:-1])]
+    return (np.array([m for m, _ in rows], np.uint64),
+            np.array([y for _, y in rows if labeled], np.uint8))
 
 
 def _parse_row(line: str, row: int, d: int, labeled: bool) -> tuple:

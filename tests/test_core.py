@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treelab.core import (BLOCK_ROWS, BLOCK_TOKENS, MAX_DIM, LabeledDataset, LabelOracle,
-                          LeafPools, Point, RandomnessTape, RunTrace, StrandTracker,
-                          UnlabeledDataset, _partial_shuffle_take,
+from treelab.core import (BLOCK_CHARS, BLOCK_ROWS, BLOCK_TOKENS, MAX_DIM, LabeledDataset,
+                          LabelOracle, LeafPools, Point, RandomnessTape, RunTrace,
+                          StrandTracker, UnlabeledDataset, _parse_row, _partial_shuffle_take,
                           consistent_indices, draw_minibatch, encode_path,
                           parse_path, path_constraint, point_reaches,
                           read_dataset, read_trace, sign_bit,
@@ -629,6 +629,137 @@ class TestBlockedDatasetIO:
             tracemalloc.stop()
         assert back.masks.tolist() == ds.masks.tolist()
         assert peak < 3 * 2 ** 20
+
+
+    def test_writes_in_bounded_memory(self):
+        # About 5 MB of text, written to a sink that keeps only its digest.
+        rng = np.random.default_rng(5)
+        n = 1 << 15
+        ds = LabeledDataset(63, rng.integers(0, 1 << 63, size=n, dtype=np.uint64),
+                            rng.integers(0, 2, size=n).astype(np.uint8))
+        want = _reference_text(ds)
+        assert len(want) > 5_000_000
+        sink = _DigestSink()
+        tracemalloc.start()
+        try:
+            write_dataset(ds, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.digest.hexdigest() == hashlib.sha256(want.encode()).hexdigest()
+        assert peak < 3 * 2 ** 20
+
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"])
+    def test_file_row_ends_read_as_newlines(self, tmp_path, newline):
+        # A file opened by path in the default newline mode, as the CLI opens
+        # it, ends its rows at '\n' after translation, also across read blocks.
+        rng = np.random.default_rng(11)
+        n = 3 * BLOCK_CHARS // 20
+        ds = LabeledDataset(10, rng.integers(0, 1 << 10, size=n, dtype=np.uint64),
+                            rng.integers(0, 2, size=n).astype(np.uint8))
+        text = _reference_text(ds)
+        (tmp_path / "rows.txt").write_bytes(text.replace("\n", newline).encode())
+        with open(tmp_path / "rows.txt", "r", encoding="utf-8") as fh:
+            back = read_dataset(fh)
+        want = read_dataset(io.StringIO(text))
+        assert back.masks.tolist() == want.masks.tolist() == ds.masks.tolist()
+        assert back.labels.tolist() == want.labels.tolist() == ds.labels.tolist()
+
+    @given(st.integers(1, MAX_DIM), st.integers(0, 2 ** 32 - 1), st.booleans(),
+           st.booleans(), st.integers(0, 3), st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_reads_like_each_row_parsed(self, d, seed, labeled, crlf, odd_rows, corrupt):
+        # Whitespace runs, CRLF row ends, other spellings of a value and at
+        # most one corrupted row: the blocked reader gives what `_parse_row`
+        # gives line by line, dataset or error.
+        rng = np.random.default_rng(seed)
+        text = _rendered_rows(rng, d, labeled, "\r\n" if crlf else "\n", odd_rows, corrupt)
+        assert _read_outcome(text) == _read_row_by_row(text)
+
+    @pytest.mark.parametrize("rows", [
+        ["--1 1 1 0"],  # a '-' before a '-'
+        ["11 1 0"],  # a digit before a digit, one token fewer
+        ["1-1 1 0"],  # a digit before a '-', one token fewer
+        ["1 1 1 1 1", "1 1 0"],  # a digit moved from one row to the next
+        ["1 1 1 -1"],  # a signed label
+        ["-0 1 1 1"],  # a signed zero entry
+        ["1 1 1 -0"],  # a signed zero label, read as 0
+    ], ids=["minus-minus", "digit-digit", "digit-minus", "moved-digit",
+            "signed-label", "minus-zero-entry", "minus-zero-label"])
+    def test_rows_with_the_writers_digit_count(self, rows):
+        # Rows whose digits still add up to three a row, in the middle of a
+        # block of writer-form rows, read as each row alone reads.
+        lines = ["1 -1 1 0\n", "-1 -1 -1 1\n"] * (BLOCK_CHARS // 20)
+        lines[len(lines) // 2:len(lines) // 2 + len(rows)] = [r + "\n" for r in rows]
+        text = f"3 {len(lines)}\n" + "".join(lines)
+        assert _read_outcome(text) == _read_row_by_row(text)
+
+
+class _DigestSink(io.TextIOBase):
+    """A text stream that keeps the SHA-256 of what is written to it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, s):
+        self.digest.update(s.encode())
+        return len(s)
+
+
+# ASCII characters str.split() separates on, '\n' aside.
+ASCII_SPACES = list("\t\r\x0b\x0c\x1c\x1d\x1e\x1f ")
+# Other int() spellings of an entry -1/+1 and of a label 0/1, and corruptions.
+SPELLINGS = {"-1": ["-01", "-001"], "1": ["+1", "01"], "0": ["-0", "00", "+0"]}
+CORRUPTIONS = ["2", "0", "x", "-", "--1", "1-1", "1.0", "1 1", "\u22121", "\xa0", ""]
+
+
+def _rendered_rows(rng, d, labeled, newline, odd_rows, corrupt):
+    """Dataset text of a random dataset spanning one to three read blocks:
+    cells split, led and trailed by random whitespace runs, `odd_rows` cells
+    spelled otherwise and, if `corrupt`, one cell corrupted."""
+    runs = np.array(["".join(rng.choice(ASCII_SPACES, size=k))
+                     for k in rng.integers(1, 4, size=64)], object)
+    width = d + labeled
+    # A cell and the run after it take about four characters.
+    n = int(rng.integers(BLOCK_CHARS // 2, 3 * BLOCK_CHARS)) // (4 * width)
+    cells = np.where(rng.integers(0, 2, size=(n, width)) == 1, "1", "-1").astype(object)
+    if labeled:
+        cells[:, d] = rng.integers(0, 2, size=n).astype(str)
+    seps = runs[rng.integers(0, 64, size=(n, width + 1))]
+    seps[rng.integers(0, 2, size=n) == 0, 0] = ""
+    seps[rng.integers(0, 2, size=n) == 0, -1] = ""
+    for r, i in zip(rng.integers(0, n, size=odd_rows), rng.integers(0, width, size=odd_rows)):
+        cells[r, i] = str(rng.choice(SPELLINGS.get(cells[r, i], [cells[r, i]])))
+    if corrupt:
+        cells[rng.integers(0, n), rng.integers(0, width)] = str(rng.choice(CORRUPTIONS))
+    lines = seps[:, 0] + (cells + seps[:, 1:]).sum(axis=1) + newline
+    return f"{d} {n}{newline}" + "".join(lines)
+
+
+def _read_outcome(text):
+    """read_dataset's dataset on `text`, as (class, masks, labels), or its error."""
+    try:
+        ds = read_dataset(io.StringIO(text))
+    except ValueError as e:
+        return str(e)
+    return type(ds).__name__, ds.masks.tolist(), getattr(ds, "labels", np.zeros(0)).tolist()
+
+
+def _read_row_by_row(text):
+    """What read_dataset gives on `text`, all of whose rows end in '\n':
+    each line read by `_parse_row`, or the error message."""
+    header, *lines = text.split("\n")
+    d, n = map(int, header.split())
+    width = len(lines[0].split())
+    labeled = width == d + 1
+    try:
+        if width not in (d, d + 1):
+            raise ValueError(f"row 0: expected {d} or {d + 1} fields")
+        rows = [_parse_row(lines[i], i, d, labeled) for i in range(n)]
+    except ValueError as e:
+        return str(e)
+    return ("LabeledDataset" if labeled else "UnlabeledDataset",
+            [m for m, _ in rows], [y for _, y in rows] if labeled else [])
 
 
 class TestLabelOracle:

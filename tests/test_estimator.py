@@ -4,15 +4,18 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treelab
 
 from conftest import monotone_target
 from treelab.core import LabeledDataset, LabelOracle, RandomnessTape
-from treelab.estimator import (BudgetError, estimate_learnability,
+from treelab.estimator import (BudgetError, estimate_error, estimate_learnability,
                                query_budget_report)
 from treelab.impurity import GINI, depth_cap
 from treelab.learners import top_down_size_estimate
+from treelab.local import LocalLearnerSession
 from treelab.targets import random_monotone_tree_target, sample_product_masks, sample_dataset
 from treelab.trees import evaluate_masks
 
@@ -154,6 +157,20 @@ class TestBudgetReport:
 
         report = query_budget_report(QuietOracle(), t=t, b=b, n_test=1)
         assert report.bound == ((b + 1) * (D + 1) + 1) * b
+
+    @given(st.integers(1, 8192), st.integers(1, 200), st.integers(1, 256),
+           st.integers(0, 10 ** 6))
+    @settings(max_examples=30, deadline=None)
+    def test_labels_within_global_tree_nodes(self, n, t, b, seed):
+        # Every record a session fetches, for the forest, a test point's walk
+        # or global_size(), is a node of the one global tree; a tree of size
+        # t' has 2t' - 1 nodes, and a node's record reveals at most b labels.
+        target, tape, labeled, oracle = _setup(seed, n=n)
+        session = LocalLearnerSession(t, b, labeled.unlabeled(), oracle, GINI, tape)
+        xs = tape.uniform_masks(12, 50, "testset")
+        estimate_error(session, LabeledDataset(12, xs, target.eval_masks(xs)))
+        t_prime = session.global_size()
+        assert oracle.query_count <= min(n, b * (2 * t_prime - 1))
 
 
 FRESH_ESTIMATE = """
