@@ -630,7 +630,6 @@ class TestBlockedDatasetIO:
         assert back.masks.tolist() == ds.masks.tolist()
         assert peak < 3 * 2 ** 20
 
-
     def test_writes_in_bounded_memory(self):
         # About 5 MB of text, written to a sink that keeps only its digest.
         rng = np.random.default_rng(5)
@@ -746,7 +745,7 @@ def _read_outcome(text):
 
 
 def _read_row_by_row(text):
-    """What read_dataset gives on `text`, all of whose rows end in '\n':
+    """What read_dataset gives on `text`, all of whose rows end in '\\n':
     each line read by `_parse_row`, or the error message."""
     header, *lines = text.split("\n")
     d, n = map(int, header.split())
