@@ -13,6 +13,13 @@ if grep -nwE '_actions|_SubParsersAction|_choices_actions' src/treelab/*.py; the
     echo "check.sh: src/treelab names a private argparse attribute" >&2
     exit 1
 fi
+# Masks are uint32 up to d = 32, and mask arithmetic takes Python ints: under
+# numpy 2's promotion rules a np.uint64 scalar widens every uint32 temporary
+# to uint64, keeping the values but doubling the bytes moved.
+if grep -n 'np\.uint64(' src/treelab/*.py; then
+    echo "check.sh: src/treelab applies a np.uint64 scalar, which widens uint32 masks" >&2
+    exit 1
+fi
 
 # --durations lists the slowest tier-1 tests, so where the suite's time goes
 # shows on every check.  -W error turns any warning, such as a numpy overflow,
@@ -28,8 +35,10 @@ python -m pytest -q -W error -W "$IGNORE" perfbench/tests "$@"
 for workload in estimate train cli; do
     python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 0 > /dev/null
 done
-# The label-complexity experiment the README describes, at a small t and b.
+# The label-complexity experiment the README describes, at a small t and b,
+# and the smallest row of the committed scale curve.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 scripts/label_complexity.py --t 16 --b 32 > /dev/null
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 scripts/scale_curve.py --log2-n 16 > /dev/null
 # The demo keeps its artifacts for inspection; here they go in a directory
 # removed on exit.
 DEMO_TMP=$(mktemp -d)

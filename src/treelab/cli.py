@@ -140,9 +140,14 @@ def cmd_estimate(args) -> int:
         budget = (query_budget_report(session.oracle, args.t, args.b, test.n)
                   if args.budget_report else None)
     finally:
+        t_prime = session.global_size()
         print(f"error={_fmt(report.error, args.machine)} "
               f"unique_labels={report.unique_labels} batches={report.batches_drawn} "
-              f"t_prime={session.global_size()}")
+              f"t_prime={t_prime}")
+    # Every record fetched is one of the global tree's 2t' - 1 nodes, b labels at most.
+    labels, bound = session.oracle.query_count, min(ds.n, args.b * (2 * t_prime - 1))
+    if labels > bound:
+        raise BudgetError(f"unique labels {labels} exceed budget min(n, b(2t'-1)) = {bound}")
     if budget is not None:
         with open(args.budget_report, "w", encoding="utf-8") as fh:
             json.dump({"unique_labels": budget.unique_labels,

@@ -10,7 +10,6 @@ Coordinates are 0-based in memory; all text formats are 1-based.
 from __future__ import annotations
 
 import hashlib
-from array import array
 from dataclasses import dataclass, field
 from typing import IO, Iterator, Optional, Sequence, Union
 
@@ -71,10 +70,15 @@ class Point:
         return 1 if (self.mask >> i) & 1 else -1
 
 
+def mask_dtype(d: int) -> type:
+    """The dtype of packed points of dimension d: uint32 up to d = 32, else uint64."""
+    return np.uint32 if d <= 32 else np.uint64
+
+
 def as_masks(d: int, points) -> np.ndarray:
-    """The uint64 masks of a sequence of Points of dimension d or of integer
-    masks in [0, 2^d) (Python or numpy integers, or an integer array, which
-    is not copied when it is uint64).  Any other value raises ValueError."""
+    """The mask_dtype(d) masks of a sequence of Points of dimension d or of
+    integer masks in [0, 2^d) (Python or numpy integers, or an integer array,
+    not copied if in mask_dtype(d)).  Any other value raises ValueError."""
     masks = np.asarray(points)
     if masks.ndim != 1:
         raise ValueError("masks must be one-dimensional")
@@ -85,13 +89,13 @@ def as_masks(d: int, points) -> np.ndarray:
         for p in points:
             if p.d != d:
                 raise ValueError(f"point dimension {p.d} != {d}")
-        return np.array([p.mask for p in points], np.uint64)
+        return np.array([p.mask for p in points], mask_dtype(d))
     if len(masks):
         low = int(masks.min()) if masks.dtype.kind == "i" else 0
         high = int(masks.max())
         if low < 0 or high >= 1 << d:
             raise ValueError(f"mask {low if low < 0 else high} out of range for d={d}")
-    return masks.astype(np.uint64, copy=False)
+    return masks.astype(mask_dtype(d), copy=False)
 
 
 def as_labels(labels, n: int) -> np.ndarray:
@@ -168,7 +172,7 @@ def parse_path(text: str) -> LeafPath:
 
 @dataclass
 class UnlabeledDataset:
-    """Point set over {-1,+1}^d, stored as packed masks."""
+    """Point set over {-1,+1}^d, stored as packed masks in mask_dtype(d)."""
 
     d: int
     masks: np.ndarray
@@ -202,9 +206,15 @@ class LabeledDataset(UnlabeledDataset):
 AnyDataset = Union[LabeledDataset, UnlabeledDataset]
 
 
+def mask_bytes(masks: np.ndarray) -> np.ndarray:
+    """k x itemsize uint8 matrix of the masks' bytes, least significant first."""
+    masks = np.ascontiguousarray(masks, masks.dtype.newbyteorder("<"))
+    return masks.view(np.uint8).reshape(-1, masks.dtype.itemsize)
+
+
 def mask_bits(masks: np.ndarray, d: int) -> np.ndarray:
     """k x d uint8 matrix whose entry [j, i] is bit i of masks[j]."""
-    low = np.ascontiguousarray(masks, "<u8").view(np.uint8).reshape(-1, 8)[:, :(d + 7) // 8]
+    low = mask_bytes(masks)[:, :(d + 7) // 8]
     return np.unpackbits(low, axis=1, count=d, bitorder="little")
 
 
@@ -253,9 +263,9 @@ def read_dataset(fp: IO[str]) -> AnyDataset:
     if n < 0:
         raise ValueError(f"dataset size must be >= 0, got {n}")
     # Grown as rows arrive, so the header's n alone allocates nothing.
-    masks, labels = array("Q"), bytearray()
-    labeled, rest = None, ""
-    while len(masks) < n:
+    dtype = np.dtype(mask_dtype(d)).newbyteorder("<")
+    masks, labels, rows, labeled, rest = bytearray(), bytearray(), 0, None, ""
+    while rows < n:
         chunk = fp.read(BLOCK_CHARS)
         # Whole rows only; at the end of the stream the last row need not end
         # in '\n', and each missing row reads as an empty one.
@@ -264,26 +274,27 @@ def read_dataset(fp: IO[str]) -> AnyDataset:
         text, rest = text[:cut], text[cut:]
         if not text:
             continue
-        if len(text) > n - len(masks) and text.count("\n") > n - len(masks):
-            *_, tail = text.split("\n", n - len(masks))
+        if len(text) > n - rows and text.count("\n") > n - rows:
+            *_, tail = text.split("\n", n - rows)
             text, rest = text[:len(text) - len(tail)], tail + rest
         if labeled is None:
             width = len(text[:text.find("\n")].split())
             if width not in (d, d + 1):
                 raise ValueError(f"row 0: expected {d} or {d + 1} fields")
             labeled = width == d + 1
-        block_masks, block_labels = _read_block(text, len(masks), d, labeled)
-        masks.frombytes(block_masks.tobytes())
+        block_masks, block_labels = _read_block(text, rows, d, labeled, dtype)
+        masks += block_masks.tobytes()
         labels += block_labels.tobytes()
+        rows += len(block_masks)
     if (rest + fp.read()).strip():
         raise ValueError(f"content after the {n} rows the header declares")
-    masks = np.frombuffer(masks, dtype=np.uint64)
+    masks = np.frombuffer(masks, dtype=dtype)
     if labeled:
         return LabeledDataset(d, masks, np.frombuffer(labels, dtype=np.uint8))
     return UnlabeledDataset(d, masks)
 
 
-def _read_block(text: str, row: int, d: int, labeled: bool) -> tuple:
+def _read_block(text: str, row: int, d: int, labeled: bool, dtype: np.dtype) -> tuple:
     """Masks and labels of the rows of `text`, each ending in '\\n', the first
     being row `row`.  A block of ASCII rows of d entries '1'/'-1' (and a label
     '0'/'1') split by whitespace is converted on its bytes at once; any other
@@ -303,12 +314,12 @@ def _read_block(text: str, row: int, d: int, labeled: bool) -> tuple:
             value = b[digits].reshape(-1, width)
             if (np.count_nonzero(kind == 2) == np.count_nonzero(minus)
                     and (value[:, :d] == ord("1")).all() and not minus[:, d:].any()):
-                plus = np.zeros((len(value), 64), bool)
+                plus = np.zeros((len(value), 8 * dtype.itemsize), bool)
                 np.logical_not(minus[:, :d], out=plus[:, :d])
                 labels = value[:, d:].ravel() - ord("0")
-                return np.packbits(plus, bitorder="little").view("<u8"), labels
+                return np.packbits(plus, bitorder="little").view(dtype), labels
     rows = [_parse_row(line, row + i, d, labeled) for i, line in enumerate(text.split("\n")[:-1])]
-    return (np.array([m for m, _ in rows], np.uint64),
+    return (np.array([m for m, _ in rows], dtype),
             np.array([y for _, y in rows if labeled], np.uint8))
 
 
@@ -361,10 +372,11 @@ class RandomnessTape:
         return np.random.default_rng(int.from_bytes(h.digest(), "little"))
 
     def uniform_masks(self, d: int, count: int, domain: str, key: str = "") -> np.ndarray:
-        """count i.i.d. uniform points of {-1,+1}^d, packed."""
+        """count i.i.d. uniform points of {-1,+1}^d in mask_dtype(d), drawn as
+        uint64 and narrowed after, so the points do not depend on the dtype."""
         _check_dim(d)
-        rng = self.substream(domain, key)
-        return rng.integers(0, 1 << d, size=count, dtype=np.uint64)
+        masks = self.substream(domain, key).integers(0, 1 << d, size=count, dtype=np.uint64)
+        return masks.astype(mask_dtype(d), copy=False)
 
 
 def sample_points(d: int, n: int, tape: RandomnessTape, key: str = "train") -> UnlabeledDataset:
@@ -396,7 +408,7 @@ class Minibatch:
 def consistent_indices(masks: np.ndarray, path: LeafPath) -> np.ndarray:
     """Ascending positions in `masks` of the points consistent with the leaf
     path (an arange in the pools' dtype at the root), in one blocked scan."""
-    m, v = map(np.uint64, path_constraint(path))
+    m, v = path_constraint(path)
     if not path:
         return np.arange(len(masks), dtype=np.int32 if len(masks) < 1 << 31 else np.int64)
     hit = np.empty(len(masks), bool)
@@ -619,7 +631,7 @@ class StrandTracker:
     exact integer sum of 2^depth over the points."""
 
     def __init__(self, masks: np.ndarray):
-        self.masks = np.asarray(masks, dtype=np.uint64)
+        self.masks = np.asarray(masks)
         self.members = {(): np.arange(len(self.masks))} if len(self.masks) else {}
         self.total = len(self.masks)
 
@@ -628,7 +640,7 @@ class StrandTracker:
         idx = self.members.pop(split_path, None)
         if idx is None:
             return
-        plus = ((self.masks[idx] >> np.uint64(coord)) & np.uint64(1)) == 1
+        plus = ((self.masks[idx] >> coord) & 1) == 1
         for sign, part in ((-1, idx[~plus]), (1, idx[plus])):
             if len(part):
                 self.members[split_path + ((coord, sign),)] = part

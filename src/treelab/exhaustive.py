@@ -143,8 +143,7 @@ def _balance_failed(cfg: ConcentrationConfig, trial: int) -> int:
     batch = _trial_batch(cfg, trial)
     if batch.size == 0:
         return 1
-    side = np.asarray((batch.masks >> np.uint64(cfg.coord)) & np.uint64(1))
-    n_pos = int(side.sum())
+    n_pos = int(((batch.masks >> cfg.coord) & 1).sum())
     return int(min(n_pos, batch.size - n_pos) < batch.size / 4.0)
 
 

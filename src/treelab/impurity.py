@@ -16,7 +16,8 @@ from typing import Callable, List, Union
 
 import numpy as np
 
-from .core import BLOCK_ROWS, LeafPath, Minibatch, mask_bits, path_constraint, path_coords
+from .core import (BLOCK_ROWS, LeafPath, Minibatch, mask_bits, mask_bytes, mask_dtype,
+                   path_constraint, path_coords)
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -120,7 +121,7 @@ def batch_local_gains(impurity: ImpurityFunction, masks: np.ndarray,
         n_pos = bits.sum(axis=0, dtype=np.int64)
         s_pos = bits[y == 1].sum(axis=0, dtype=np.int64)
     else:
-        low = np.ascontiguousarray(masks, "<u8").view(np.uint8).reshape(-1, 8)
+        low = mask_bytes(masks)
         counts = np.zeros(((d + 7) // 8, 2, 256), np.int64)
         for lo in range(0, k, BLOCK_ROWS):
             label_bins = y[lo:lo + BLOCK_ROWS].astype(np.int64) << 8
@@ -165,9 +166,9 @@ def _check_exhaustive(d: int) -> None:
 
 
 def _leaf_masks(d: int, path: LeafPath) -> np.ndarray:
-    all_masks = np.arange(1 << d, dtype=np.uint64)
+    all_masks = np.arange(1 << d, dtype=mask_dtype(d))
     m, v = path_constraint(path)
-    return all_masks[(all_masks & np.uint64(m)) == np.uint64(v)]
+    return all_masks[(all_masks & m) == v]
 
 
 def true_local_gain(impurity: ImpurityFunction, target, path: LeafPath, i: int) -> float:
@@ -178,7 +179,7 @@ def true_local_gain(impurity: ImpurityFunction, target, path: LeafPath, i: int) 
         raise ValueError(f"coordinate {i} already fixed on the leaf path")
     masks = _leaf_masks(d, path)
     y = np.asarray(target.eval_masks(masks), np.float64)
-    bit = ((masks >> np.uint64(i)) & np.uint64(1)).astype(bool)
+    bit = ((masks >> i) & 1).astype(bool)
     g = impurity.g
     return float(g(float(y.mean()))
                  - 0.5 * g(float(y[~bit].mean()))

@@ -13,7 +13,7 @@ from typing import FrozenSet, Tuple
 
 import numpy as np
 
-from .core import LabeledDataset, RandomnessTape, as_labels, as_masks, sample_points
+from .core import LabeledDataset, RandomnessTape, as_labels, as_masks, mask_dtype, sample_points
 from .impurity import _check_exhaustive
 from .trees import Tree, evaluate_masks, parse_tree, random_partial_tree, relabel
 
@@ -43,7 +43,7 @@ class Dictator(TargetFunction):
             raise ValueError(f"dictator coordinate {self.i} out of range")
 
     def eval_masks(self, masks):
-        return ((as_masks(self.d, masks) >> np.uint64(self.i)) & np.uint64(1)).astype(np.uint8)
+        return ((as_masks(self.d, masks) >> self.i) & 1).astype(np.uint8)
 
 
 @dataclass
@@ -74,7 +74,7 @@ class ReadOnceDNF(TargetFunction):
             if seen & t:
                 raise ValueError("read-once DNF terms must be disjoint")
             seen |= t
-        self._term_masks = [np.uint64(sum(1 << i for i in t)) for t in self.terms]
+        self._term_masks = [sum(1 << i for i in t) for t in self.terms]
 
     def eval_masks(self, masks):
         masks = as_masks(self.d, masks)
@@ -108,7 +108,7 @@ class Xor(TargetFunction):
         self.coords = frozenset(self.coords)
         if not self.coords or any(not 0 <= i < self.d for i in self.coords):
             raise ValueError("xor needs a non-empty in-range coordinate set")
-        self._sel = np.uint64(sum(1 << i for i in self.coords))
+        self._sel = sum(1 << i for i in self.coords)
 
     def eval_masks(self, masks):
         return (np.bitwise_count(as_masks(self.d, masks) & self._sel) & 1).astype(np.uint8)
@@ -155,8 +155,8 @@ def is_monotone(target: TargetFunction) -> bool:
     over all 2^{d-1} neighbor pairs per coordinate."""
     _check_exhaustive(target.d)
     d = target.d
-    f = target.eval_masks(np.arange(1 << d, dtype=np.uint64)).astype(np.int8)
-    idx = np.arange(1 << d, dtype=np.int64)
+    idx = np.arange(1 << d, dtype=mask_dtype(d))
+    f = target.eval_masks(idx).astype(np.int8)
     for i in range(d):
         low = idx[(idx >> i) & 1 == 0]
         diff = f[low + (1 << i)] - f[low]
@@ -170,7 +170,7 @@ def exact_error(target: TargetFunction, tree: Tree) -> float:
     if tree.d != target.d:
         raise ValueError(f"tree dimension {tree.d} != target dimension {target.d}")
     _check_exhaustive(target.d)
-    masks = np.arange(1 << target.d, dtype=np.uint64)
+    masks = np.arange(1 << target.d, dtype=mask_dtype(target.d))
     return float(np.mean(target.eval_masks(masks) != evaluate_masks(tree, masks)))
 
 
@@ -226,7 +226,7 @@ def random_monotone_tree_target(rng: np.random.Generator, d: int,
     tests do not degenerate into single-leaf runs.
     """
     _check_exhaustive(d)
-    masks = np.arange(1 << d, dtype=np.uint64)
+    masks = np.arange(1 << d, dtype=mask_dtype(d))
     for _ in range(max_tries):
         skeleton = random_partial_tree(rng, d, n_leaves, max_depth)
         theta = int(rng.integers(1, max_depth + 1))

@@ -128,7 +128,7 @@ def evaluate_masks(tree: Tree, masks: np.ndarray) -> np.ndarray:
                 raise ValueError("tree has unlabeled leaves")
             out[idx] = node.label
             return
-        bit = (masks[idx] >> np.uint64(node.coord)) & np.uint64(1)
+        bit = (masks[idx] >> node.coord) & 1
         rec(node.neg, idx[bit == 0])
         rec(node.pos, idx[bit == 1])
 

@@ -135,6 +135,14 @@ class TestEstimate:
         assert err == "error: unique labels 479 exceed budget 32\n"
         assert not report.exists()
 
+    def test_labels_beyond_the_global_tree_print_the_line_then_fail(self, workdir, capsys,
+                                                                    monkeypatch):
+        # With t' = 1 the global tree is one node of at most b = 32 labels.
+        monkeypatch.setattr("treelab.local.LocalLearnerSession.global_size", lambda self: 1)
+        code, out, err = run_cli(capsys, *self._args(workdir, "--machine"))
+        assert (code, out) == (1, self.MACHINE_LINE.replace("t_prime=13", "t_prime=1"))
+        assert err == "error: unique labels 479 exceed budget min(n, b(2t'-1)) = 32\n"
+
     def test_theory_line_follows_the_result(self, workdir, capsys):
         code, out, err = run_cli(capsys, *self._args(workdir, "--machine", "--theory"))
         lines = out.splitlines(keepends=True)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from treelab.core import (BLOCK_CHARS, BLOCK_ROWS, BLOCK_TOKENS, MAX_DIM, LabeledDataset,
                           LabelOracle, LeafPools, Point, RandomnessTape, RunTrace,
                           StrandTracker, UnlabeledDataset, _parse_row, _partial_shuffle_take,
-                          consistent_indices, draw_minibatch, encode_path,
+                          consistent_indices, draw_minibatch, encode_path, mask_dtype,
                           parse_path, path_constraint, point_reaches,
                           read_dataset, read_trace, sign_bit,
                           write_dataset, write_trace)
@@ -241,8 +241,8 @@ class TestLeafPools:
                 assert pool.masks is None and pool.labels is None
                 continue
             # A pool of at most b points carries its points and is the batch.
-            assert pool.masks.dtype == np.uint64
-            assert pool.masks.tobytes() == masks[pool.indices].tobytes()
+            assert pool.masks.dtype == ds.masks.dtype == np.uint32
+            assert pool.masks.tolist() == masks[pool.indices].tolist()
             if labeled:
                 assert pool.labels.dtype == np.uint8
                 assert pool.labels.tobytes() == ds.labels[pool.indices].tobytes()
@@ -552,7 +552,9 @@ class TestDatasetIO:
         except ValueError as e:
             outcome = (type(e).__name__, str(e))
         else:
-            h = hashlib.sha256(ds.masks.tobytes())
+            # Hashed as uint64, the dtype masks had before they were narrowed.
+            assert ds.masks.dtype == mask_dtype(ds.d)
+            h = hashlib.sha256(ds.masks.astype(np.uint64).tobytes())
             if isinstance(ds, LabeledDataset):
                 h.update(ds.labels.tobytes())
             outcome = (type(ds).__name__, ds.d, ds.n, h.hexdigest()[:16])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from treelab.core import (LabeledDataset, LabelOracle, Point, RandomnessTape,
-                          UnlabeledDataset, as_masks)
+                          UnlabeledDataset, as_masks, mask_dtype)
 from treelab.impurity import GINI
 from treelab.local import LocalLearnerSession, estimate_size
 from treelab.targets import Dictator, Majority, TruthTable, Xor, sample_dataset
@@ -103,19 +103,31 @@ def test_messages_name_the_value():
 def test_integer_sequences_of_any_width_and_empty_inputs():
     mixed = [np.int64(3), np.uint64(5), 7, Point(D, 9)]
     assert as_masks(D, mixed).tolist() == [3, 5, 7, 9]
-    assert as_masks(D, mixed).dtype == np.uint64
+    assert as_masks(D, mixed).dtype == mask_dtype(D) == np.uint32
     # numpy reads int64 and uint64 together as float64.
     assert as_masks(D, mixed[:2]).tolist() == [3, 5]
     for empty in ([], np.zeros(0, np.int64), np.zeros(0)):
-        assert UnlabeledDataset(D, empty).masks.dtype == np.uint64
+        assert UnlabeledDataset(D, empty).masks.dtype == mask_dtype(D)
     assert LabeledDataset(D, []).labels.dtype == np.uint8
     assert LabeledDataset(D, [], []).n == 0
 
 
 def test_uint64_masks_are_not_copied():
-    masks = np.arange(16, dtype=np.uint64)
-    assert as_masks(D, masks) is masks
-    assert UnlabeledDataset(D, masks).masks is masks
+    # Masks already in mask_dtype(d) are not copied: uint32 up to d = 32,
+    # uint64 above.
+    for d, dtype in ((D, np.uint32), (32, np.uint32), (33, np.uint64), (63, np.uint64)):
+        masks = np.arange(16, dtype=dtype)
+        assert mask_dtype(d) == dtype
+        assert as_masks(d, masks) is masks
+        assert UnlabeledDataset(d, masks).masks is masks
+
+
+def test_uint64_masks_are_narrowed_with_equal_values():
+    for d in (D, 32):
+        masks = np.array([0, 5, (1 << d) - 1], np.uint64)
+        got = as_masks(d, masks)
+        assert got.dtype == np.uint32 and got.tolist() == masks.tolist()
+        assert UnlabeledDataset(d, masks).masks.tolist() == masks.tolist()
 
 
 @pytest.mark.parametrize("labels", [[0, 1], np.array([0, 1], np.uint8),
