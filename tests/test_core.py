@@ -552,7 +552,7 @@ class TestDatasetIO:
         except ValueError as e:
             outcome = (type(e).__name__, str(e))
         else:
-            # Hashed as uint64, the dtype masks had before they were narrowed.
+            # Hashed as uint64, so READER_OUTCOMES holds whatever the stored dtype.
             assert ds.masks.dtype == mask_dtype(ds.d)
             h = hashlib.sha256(ds.masks.astype(np.uint64).tobytes())
             if isinstance(ds, LabeledDataset):
