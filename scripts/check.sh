@@ -44,6 +44,16 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 scripts/scale_curve.py --log2-
 DEMO_TMP=$(mktemp -d)
 trap 'rm -rf "$DEMO_TMP"' EXIT
 TMPDIR=$DEMO_TMP sh scripts/demo.sh
+# Each tree the demo trains (d = 10) reads back through parse_tree and is
+# written again byte for byte, as `train --out-tree` writes it.
+for tree in "$DEMO_TMP"/*/full.tree "$DEMO_TMP"/*/mb.tree "$DEMO_TMP"/*/se.tree; do
+    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -c '
+import sys
+from treelab.trees import parse_tree, serialize_tree
+with open(sys.argv[1], encoding="utf-8") as src, open(sys.argv[2], "w", encoding="utf-8") as dst:
+    dst.write(serialize_tree(parse_tree(src.read(), 10)) + "\n")' "$tree" "$DEMO_TMP/again.tree"
+    cmp "$tree" "$DEMO_TMP/again.tree"
+done
 # Each file gen-data writes, labeled or not, reads back and is written again
 # byte for byte, so the reader and the writer agree on the CLI's own files.
 for d in 10 63; do

@@ -28,7 +28,7 @@ from .learners import minibatch_top_down, top_down_full, top_down_size_estimate
 from .local import LocalLearnerSession, estimate_size, local_learner
 from .targets import (parse_target, random_monotone_tree_target,
                       random_truth_table, sample_dataset)
-from .trees import leaf_paths, parse_tree, random_partial_tree, serialize_tree
+from .trees import parse_tree, random_partial_tree, serialize_tree
 
 
 def _fmt(x: float, machine: bool) -> str:
@@ -205,7 +205,7 @@ def cmd_verify(args) -> int:
         d = 8
         tree = random_partial_tree(rng, d, n_leaves=int(rng.integers(1, 10)))
         target = random_truth_table(rng, d)
-        leaves = [p for p, _ in leaf_paths(tree)]
+        leaves = list(tree.labels)
         path = leaves[int(rng.integers(len(leaves)))]
         free = [i for i in range(d) if i not in {c for c, _ in path}]
         if not free:

@@ -431,11 +431,14 @@ class LeafPools:
 
     def __init__(self, dataset: AnyDataset, b: int):
         self.masks, self.labels, self.b = dataset.masks, getattr(dataset, "labels", None), b
+        self.d = dataset.d
         self._dtype = np.int32 if dataset.n < 1 << 31 else np.int64
         self._pools: dict = {}
         self._served: set = set()
 
     def __call__(self, path: LeafPath) -> Minibatch:
+        if not all(0 <= c < self.d for c, _ in path):
+            raise ValueError(f"path {path} has a coordinate outside [0, {self.d})")
         parent = self._pools.get(path[:-1])
         if parent is None:
             at = pos = consistent_indices(self.masks, path)

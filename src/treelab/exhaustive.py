@@ -21,7 +21,7 @@ from .core import (LeafPath, Minibatch, Point, RandomnessTape, RunTrace,
 from .impurity import (ImpurityFunction, g_impurity, local_gain, true_local_gain,
                        true_purity_gain)
 from .targets import TargetFunction, sample_dataset
-from .trees import Split, Tree, split_leaf
+from .trees import Tree, split_leaf
 
 EXACT_TOL = 1e-12
 
@@ -37,21 +37,17 @@ def evaluate_tree_reference(tree: Tree, x: Point) -> int:
     purpose."""
     if x.d != tree.d:
         raise ValueError("dimension mismatch")
-    node = tree.root
-    while isinstance(node, Split):
-        node = node.pos if x.sign(node.coord) == 1 else node.neg
-    if node.label is None:
+    label = tree.labels[leaf_of_reference(tree, x)]
+    if label is None:
         raise ValueError("tree has unlabeled leaves")
-    return node.label
+    return label
 
 
 def leaf_of_reference(tree: Tree, x: Point) -> LeafPath:
-    node = tree.root
     path: LeafPath = ()
-    while isinstance(node, Split):
-        s = x.sign(node.coord)
-        path = path + ((node.coord, s),)
-        node = node.pos if s == 1 else node.neg
+    while path in tree.splits:
+        coord = tree.splits[path]
+        path = path + ((coord, x.sign(coord)),)
     return path
 
 

@@ -193,11 +193,9 @@ def true_purity_gain(impurity: ImpurityFunction, target, path: LeafPath, i: int)
 def g_impurity(impurity: ImpurityFunction, target, tree) -> float:
     """Potential of a partial tree: sum over leaves of 2^{-depth} * g(mean
     target value over the leaf's subcube).  Exact, by enumeration."""
-    from .trees import leaf_paths
-
     _check_exhaustive(target.d)
     total = 0.0
-    for path, _ in leaf_paths(tree):
+    for path in tree.labels:
         masks = _leaf_masks(target.d, path)
         p = float(np.asarray(target.eval_masks(masks), np.float64).mean())
         total += math.ldexp(float(impurity.g(p)), -len(path))

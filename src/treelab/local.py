@@ -39,7 +39,7 @@ from .core import (STRAND_DOMAIN, LabelOracle, Point, RandomnessTape,
                    sign_bit)
 from .impurity import ImpurityFunction, depth_limit
 from .learners import GrowthState, completion_label, leaf_source
-from .trees import Tree, tree_splits
+from .trees import Tree
 
 
 def estimate_size(tree: Tree, strand_points: Sequence) -> float:
@@ -47,7 +47,7 @@ def estimate_size(tree: Tree, strand_points: Sequence) -> float:
     unbiased for the leaf count.  Accepts Points or packed masks.  The
     tree's splits are replayed, parents first, through a StrandTracker."""
     tracker = StrandTracker(as_masks(tree.d, strand_points))
-    for path, coord in tree_splits(tree).items():
+    for path, coord in tree.splits.items():
         tracker.advance(path, coord)
     return tracker.size_estimate()
 

@@ -197,13 +197,14 @@ def sample_dataset(target: TargetFunction, n: int, tape: RandomnessTape,
 
 def sample_product_masks(bias: np.ndarray, n: int, tape: RandomnessTape,
                          key: str = "biased") -> np.ndarray:
-    """n packed points with independent coordinates, P[x_i = +1] = bias[i].
-    Used to build non-uniform test sets."""
+    """n packed points, in mask_dtype(d), with independent coordinates,
+    P[x_i = +1] = bias[i].  Used to build non-uniform test sets."""
     bias = np.asarray(bias, dtype=np.float64)
     d = len(bias)
     rng = tape.substream("product-dist", key)
-    bits = (rng.random((n, d)) < bias).astype(np.uint64)
-    return (bits << np.arange(d, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+    dtype = mask_dtype(d)
+    bits = (rng.random((n, d)) < bias).astype(dtype)
+    return (bits << np.arange(d, dtype=dtype)).sum(axis=1, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------

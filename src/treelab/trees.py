@@ -2,14 +2,18 @@
 
 A tree queries one coordinate per internal node (no repeats along a path)
 and carries {0,1} labels at the leaves; a partial tree is the same shape
-with unlabeled (None) leaves.  Text form is s-expression style:
-`(leaf 0)`, `(split 3 NEG POS)` with 1-based coordinates.
+with unlabeled (None) leaves.  A tree is two tables keyed by path (the
+(coordinate, sign) steps from the root): `splits` maps each internal node
+to its coordinate and `labels` each leaf to its label.  Both iterate in one
+canonical order, depth-first with the negative child first, so each split
+comes after its parent and the leaves run left to right.  Text form is
+s-expression style: `(leaf 0)`, `(split 3 NEG POS)` with 1-based coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -17,74 +21,53 @@ from .core import LeafPath, Point, _check_dim, as_masks, path_coords, sign_bit
 
 
 @dataclass(frozen=True)
-class Leaf:
-    label: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class Split:
-    coord: int
-    neg: "Node"
-    pos: "Node"
-
-
-Node = Union[Leaf, Split]
-
-
-@dataclass(frozen=True)
 class Tree:
-    """A (possibly partial) decision tree over {-1,+1}^d."""
+    """A (possibly partial) decision tree over {-1,+1}^d.
+
+    Built from any {path: coord} and {path: label} tables: the entries the
+    root reaches are kept, in canonical order, and the rest dropped.  A
+    coordinate must lie in [0, d) and repeat nowhere along its path, and
+    every leaf needs a label None, 0 or 1.
+    """
 
     d: int
-    root: Node
+    splits: dict
+    labels: dict
 
     def __post_init__(self):
-        _validate(self.root, self.d, frozenset())
+        splits: dict = {}
+        labels: dict = {}
+
+        def rec(path: LeafPath) -> None:
+            if path in self.splits:
+                c = splits[path] = self.splits[path]
+                if not 0 <= c < self.d:
+                    raise ValueError(f"split coordinate {c} out of range for d={self.d}")
+                if c in path_coords(path):
+                    raise ValueError(f"coordinate {c} repeats along a path")
+                rec(path + ((c, -1),))
+                rec(path + ((c, 1),))
+            elif path not in self.labels:
+                raise ValueError(f"leaf {path} has no label")
+            elif self.labels[path] not in (None, 0, 1):
+                raise ValueError(f"leaf label must be None, 0 or 1, got {self.labels[path]}")
+            else:
+                labels[path] = self.labels[path]
+
+        rec(())
+        object.__setattr__(self, "splits", splits)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def size(self) -> int:
-        return count_leaves(self.root)
+        return len(self.labels)
 
     @property
     def depth(self) -> int:
-        return max(len(path) for path, _ in leaf_paths(self))
+        return max(map(len, self.labels))
 
     def is_complete(self) -> bool:
-        return all(lbl is not None for _, lbl in leaf_paths(self))
-
-
-def _validate(node: Node, d: int, used: frozenset) -> None:
-    if isinstance(node, Leaf):
-        if node.label not in (None, 0, 1):
-            raise ValueError(f"leaf label must be None, 0 or 1, got {node.label}")
-        return
-    if not 0 <= node.coord < d:
-        raise ValueError(f"split coordinate {node.coord} out of range for d={d}")
-    if node.coord in used:
-        raise ValueError(f"coordinate {node.coord} repeats along a path")
-    _validate(node.neg, d, used | {node.coord})
-    _validate(node.pos, d, used | {node.coord})
-
-
-def count_leaves(node: Node) -> int:
-    if isinstance(node, Leaf):
-        return 1
-    return count_leaves(node.neg) + count_leaves(node.pos)
-
-
-def leaf_paths(tree: Tree) -> List[tuple]:
-    """(path, label) for every leaf, in left-to-right (neg-first) order."""
-    out: List[tuple] = []
-
-    def rec(node: Node, path: LeafPath):
-        if isinstance(node, Leaf):
-            out.append((path, node.label))
-            return
-        rec(node.neg, path + ((node.coord, -1),))
-        rec(node.pos, path + ((node.coord, 1),))
-
-    rec(tree.root, ())
-    return out
+        return None not in self.labels.values()
 
 
 # ---------------------------------------------------------------------------
@@ -96,43 +79,39 @@ def leaf_of(tree: Tree, x: Point) -> LeafPath:
     """Path of the unique leaf that x reaches."""
     if x.d != tree.d:
         raise ValueError(f"point dimension {x.d} != tree dimension {tree.d}")
-    node = tree.root
     path: LeafPath = ()
-    while isinstance(node, Split):
-        s = sign_bit(x.mask, node.coord)
-        path = path + ((node.coord, s),)
-        node = node.pos if s == 1 else node.neg
+    while path in tree.splits:
+        c = tree.splits[path]
+        path += ((c, sign_bit(x.mask, c)),)
     return path
 
 
 def evaluate_tree(tree: Tree, x: Point) -> int:
-    """Label of the leaf x reaches.  The tree must be complete."""
-    if x.d != tree.d:
-        raise ValueError(f"point dimension {x.d} != tree dimension {tree.d}")
-    node = tree.root
-    while isinstance(node, Split):
-        node = node.pos if sign_bit(x.mask, node.coord) == 1 else node.neg
-    if node.label is None:
+    """Label of the leaf x reaches, which must be labeled."""
+    label = tree.labels[leaf_of(tree, x)]
+    if label is None:
         raise ValueError("tree has unlabeled leaves")
-    return node.label
+    return label
 
 
 def evaluate_masks(tree: Tree, masks: np.ndarray) -> np.ndarray:
-    """Vectorized evaluate_tree over packed points, taken through `as_masks`."""
+    """Vectorized evaluate_tree over packed points, taken through `as_masks`.
+    The tree must be complete."""
     masks = as_masks(tree.d, masks)
+    if not tree.is_complete():
+        raise ValueError("tree has unlabeled leaves")
     out = np.zeros(len(masks), dtype=np.uint8)
 
-    def rec(node: Node, idx: np.ndarray):
-        if isinstance(node, Leaf):
-            if node.label is None:
-                raise ValueError("tree has unlabeled leaves")
-            out[idx] = node.label
+    def rec(path: LeafPath, idx: np.ndarray):
+        if path not in tree.splits:
+            out[idx] = tree.labels[path]
             return
-        bit = (masks[idx] >> node.coord) & 1
-        rec(node.neg, idx[bit == 0])
-        rec(node.pos, idx[bit == 1])
+        c = tree.splits[path]
+        bit = (masks[idx] >> c) & 1
+        rec(path + ((c, -1),), idx[bit == 0])
+        rec(path + ((c, 1),), idx[bit == 1])
 
-    rec(tree.root, np.arange(len(masks)))
+    rec((), np.arange(len(masks)))
     return out
 
 
@@ -142,40 +121,24 @@ def evaluate_masks(tree: Tree, masks: np.ndarray) -> np.ndarray:
 
 
 def tree_from_splits(d: int, splits: dict, labels: dict) -> Tree:
-    """Materialize a tree from {path: coord} internal nodes and {path: label}
-    leaves.  Every path not in `splits` must appear in `labels`."""
-
-    def rec(path: LeafPath) -> Node:
-        if path in splits:
-            c = splits[path]
-            return Split(c, rec(path + ((c, -1),)), rec(path + ((c, 1),)))
-        return Leaf(labels[path])
-
-    return Tree(d, rec(()))
-
-
-def tree_splits(tree: Tree) -> dict:
-    """{path: coord} of every internal node, each listed after its parent:
-    the inverse of tree_from_splits."""
-    # Each split is inserted with the first leaf under it, after its parent.
-    return {path[:k]: path[k][0] for path, _ in leaf_paths(tree)
-            for k in range(len(path))}
+    """The tree of {path: coord} internal nodes and {path: label} leaves (see
+    Tree): every path the splits reach and do not split needs a label."""
+    return Tree(d, splits, labels)
 
 
 def split_leaf(tree: Tree, path: LeafPath, coord: int) -> Tree:
     """New tree with the leaf at `path` split on `coord`, both children
     keeping the leaf's label."""
-    labels = dict(leaf_paths(tree))
-    if path not in labels:
+    if path not in tree.labels:
         raise ValueError("path does not end at a leaf")
-    labels.update({path + ((coord, sign),): labels[path] for sign in (-1, 1)})
-    return tree_from_splits(tree.d, {**tree_splits(tree), path: coord}, labels)
+    children = {path + ((coord, sign),): tree.labels[path] for sign in (-1, 1)}
+    return tree_from_splits(tree.d, {**tree.splits, path: coord}, {**tree.labels, **children})
 
 
 def relabel(tree: Tree, labeler: Callable[[LeafPath], int]) -> Tree:
     """Complete (or relabel) every leaf via labeler(path)."""
-    return tree_from_splits(tree.d, tree_splits(tree),
-                            {path: int(labeler(path)) for path, _ in leaf_paths(tree)})
+    return tree_from_splits(tree.d, tree.splits,
+                            {path: int(labeler(path)) for path in tree.labels})
 
 
 def random_partial_tree(rng: np.random.Generator, d: int, n_leaves: int,
@@ -211,21 +174,24 @@ def random_partial_tree(rng: np.random.Generator, d: int, n_leaves: int,
 
 def serialize_tree(tree: Tree) -> str:
     """Canonical one-line s-expression, 1-based coordinates."""
+    if not tree.is_complete():
+        raise ValueError("cannot serialize unlabeled leaves")
 
-    def rec(node: Node) -> str:
-        if isinstance(node, Leaf):
-            if node.label is None:
-                raise ValueError("cannot serialize unlabeled leaves")
-            return f"(leaf {node.label})"
-        return f"(split {node.coord + 1} {rec(node.neg)} {rec(node.pos)})"
+    def rec(path: LeafPath) -> str:
+        if path not in tree.splits:
+            return f"(leaf {tree.labels[path]})"
+        c = tree.splits[path]
+        return f"(split {c + 1} {rec(path + ((c, -1),))} {rec(path + ((c, 1),))})"
 
-    return rec(tree.root)
+    return rec(())
 
 
 def parse_tree(text: str, d: int) -> Tree:
     _check_dim(d)
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
+    splits: dict = {}
+    labels: dict = {}
 
     def expect(tok: str):
         nonlocal pos
@@ -242,27 +208,26 @@ def parse_tree(text: str, d: int) -> Tree:
         pos += 1
         return t
 
-    def node(depth: int) -> Node:
+    def node(path: LeafPath) -> None:
         expect("(")
         head = atom()
         if head == "leaf":
             lbl = int(atom())
             if lbl not in (0, 1):
                 raise ValueError(f"leaf label must be 0 or 1, got {lbl}")
-            expect(")")
-            return Leaf(lbl)
-        if head == "split":
+            labels[path] = lbl
+        elif head == "split":
             # A path repeats no coordinate, so no valid split sits at depth d.
-            if depth >= d:
+            if len(path) >= d:
                 raise ValueError(f"tree nested deeper than d={d}")
-            coord = int(atom()) - 1
-            neg = node(depth + 1)
-            pos_child = node(depth + 1)
-            expect(")")
-            return Split(coord, neg, pos_child)
-        raise ValueError(f"unknown node kind {head!r}")
+            coord = splits[path] = int(atom()) - 1
+            node(path + ((coord, -1),))
+            node(path + ((coord, 1),))
+        else:
+            raise ValueError(f"unknown node kind {head!r}")
+        expect(")")
 
-    root = node(0)
+    node(())
     if pos != len(tokens):
         raise ValueError("trailing tokens after tree")
-    return Tree(d, root)
+    return tree_from_splits(d, splits, labels)

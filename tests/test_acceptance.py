@@ -24,7 +24,7 @@ from treelab.local import LocalLearnerSession, estimate_size
 from treelab.targets import (Dictator, Majority, ReadOnceDNF, exact_error,
                              random_monotone_tree_target, random_truth_table,
                              sample_dataset, sample_product_masks)
-from treelab.trees import evaluate_masks, leaf_paths, random_partial_tree, serialize_tree
+from treelab.trees import evaluate_masks, random_partial_tree, serialize_tree
 
 MEASURED = {"local": [], "estimate": []}
 
@@ -160,7 +160,7 @@ def test_criterion_6_telescoping_and_shallow_splits():
         d = 10
         tree = random_partial_tree(rng, d, int(rng.integers(1, 12)))
         target = random_truth_table(rng, d)
-        leaves = [p for p, _ in leaf_paths(tree)]
+        leaves = list(tree.labels)
         path = leaves[int(rng.integers(len(leaves)))]
         free = [i for i in range(d) if i not in {c for c, _ in path}]
         coord = int(rng.choice(free))

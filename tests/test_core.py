@@ -318,6 +318,20 @@ class TestLeafPools:
             pool = LeafPools(ds, 8)(())
         assert pool.indices is returned[0]
 
+    @pytest.mark.parametrize("d, coord", [(20, 20), (20, 25), (20, 40), (20, -1),
+                                          (40, 40), (40, 63), (40, -1)])
+    def test_path_coordinate_outside_d_rejected(self, d, coord, tape):
+        # d = 20 stores uint32 masks, d = 40 uint64 ones.
+        ds = UnlabeledDataset(d, np.arange(64))
+        pools = LeafPools(ds, 8)
+        pools(((0, -1),))
+        for path in (((coord, 1),), ((0, -1), (coord, 1))):
+            with pytest.raises(ValueError, match=rf"outside \[0, {d}\)"):
+                draw_minibatch(ds, path, 8, tape)
+            with pytest.raises(ValueError, match=rf"outside \[0, {d}\)"):
+                pools(path)
+        assert draw_minibatch(ds, ((d - 1, -1),), 8, tape).size == 8
+
     def test_draw_from_pool_equals_draw_from_scan(self, tape):
         ds = _dataset(n=500)
         path = ((1, -1), (3, 1))

@@ -8,18 +8,19 @@ from treelab.exhaustive import (ConcentrationConfig, check_shallow_splits,
                                 local_gain_reference)
 from treelab.impurity import GINI, builtin_impurities
 from treelab.targets import Dictator, random_truth_table
-from treelab.trees import Leaf, Split, Tree, leaf_paths, random_partial_tree
+from treelab.trees import parse_tree, random_partial_tree, tree_from_splits
 
 
 class TestTelescoping:
     def test_pure_leaf_split_changes_nothing(self):
         f = Dictator(4, 0)
-        tree = Tree(4, Split(0, Leaf(None), Leaf(None)))  # both leaves pure
+        # Both leaves pure.
+        tree = tree_from_splits(4, {(): 0}, {((0, -1),): None, ((0, 1),): None})
         assert check_telescoping(GINI, f, tree, (((0, 1),), 2))
 
     def test_dictator_root_split(self):
         f = Dictator(4, 0)
-        assert check_telescoping(GINI, f, Tree(4, Leaf(None)), ((), 0))
+        assert check_telescoping(GINI, f, tree_from_splits(4, {}, {(): None}), ((), 0))
 
     def test_random_triples(self):
         rng = np.random.default_rng(1)
@@ -27,7 +28,7 @@ class TestTelescoping:
             d = 8
             tree = random_partial_tree(rng, d, int(rng.integers(1, 10)))
             f = random_truth_table(rng, d)
-            leaves = [p for p, _ in leaf_paths(tree)]
+            leaves = list(tree.labels)
             path = leaves[int(rng.integers(len(leaves)))]
             free = [i for i in range(d) if i not in {c for c, _ in path}]
             coord = int(rng.choice(free))
@@ -64,10 +65,10 @@ class TestShallowSplits:
 
 class TestSizeExpectation:
     def test_single_leaf(self):
-        assert exact_size_expectation(Tree(3, Leaf(0))) == 1.0
+        assert exact_size_expectation(parse_tree("(leaf 0)", 3)) == 1.0
 
     def test_three_leaves(self):
-        tree = Tree(3, Split(0, Leaf(0), Split(1, Leaf(0), Leaf(1))))
+        tree = parse_tree("(split 1 (leaf 0) (split 2 (leaf 0) (leaf 1)))", 3)
         assert exact_size_expectation(tree) == 3.0
 
     def test_random_trees_exact(self):
@@ -82,7 +83,7 @@ class TestReferenceImplementations:
         from treelab.core import Point
 
         with pytest.raises(ValueError):
-            evaluate_tree_reference(Tree(2, Leaf(None)), Point(2, 0))
+            evaluate_tree_reference(tree_from_splits(2, {}, {(): None}), Point(2, 0))
 
     def test_reference_gain_raises_on_empty(self):
         empty = Minibatch((), np.zeros(0, np.int64), np.zeros(0, np.uint64),

@@ -16,7 +16,7 @@ from treelab.impurity import (ENTROPY, GINI, HISTOGRAM_ROWS,
                               recommended_params, strand_count_for_accuracy,
                               true_local_gain, true_purity_gain)
 from treelab.targets import Dictator, Majority, Xor, random_truth_table
-from treelab.trees import Leaf, Split, Tree
+from treelab.trees import tree_from_splits
 
 GRID = np.linspace(0.0, 1.0, 1025)
 
@@ -293,23 +293,23 @@ class TestTrueGain:
 class TestGImpurity:
     def test_balanced_root(self):
         f = Xor(3, frozenset({0, 1}))  # mean exactly 1/2
-        assert g_impurity(GINI, f, Tree(3, Leaf(None))) == 1.0
+        assert g_impurity(GINI, f, tree_from_splits(3, {}, {(): None})) == 1.0
 
     def test_pure_after_dictator_split(self):
         f = Dictator(3, 0)
-        tree = Tree(3, Split(0, Leaf(None), Leaf(None)))
+        tree = tree_from_splits(3, {(): 0}, {((0, -1),): None, ((0, 1),): None})
         assert g_impurity(GINI, f, tree) == 0.0
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=25, deadline=None)
     def test_split_telescopes_exactly(self, seed):
-        from treelab.trees import leaf_paths, random_partial_tree, split_leaf
+        from treelab.trees import random_partial_tree, split_leaf
 
         rng = np.random.default_rng(seed)
         d = 8
         tree = random_partial_tree(rng, d, n_leaves=int(rng.integers(1, 8)))
         f = random_truth_table(rng, d)
-        leaves = [p for p, _ in leaf_paths(tree)]
+        leaves = list(tree.labels)
         path = leaves[int(rng.integers(len(leaves)))]
         free = [i for i in range(d) if i not in {c for c, _ in path}]
         coord = int(rng.choice(free))

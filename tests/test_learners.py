@@ -145,9 +145,9 @@ class TestMiniBatchTopDown:
         ds = full_truth_table_dataset(target)
         tape = RandomnessTape(0)
         res = minibatch_top_down(16, 1 << 8, ds, GINI, tape)
-        from treelab.trees import Leaf, Tree, split_leaf
+        from treelab.trees import split_leaf, tree_from_splits
 
-        tree = Tree(8, Leaf(None))
+        tree = tree_from_splits(8, {}, {(): None})
         pot = g_impurity(GINI, target, tree)
         for e in res.trace:
             tree = split_leaf(tree, e.path, e.coord)

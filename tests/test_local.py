@@ -15,24 +15,23 @@ from treelab.learners import (GrowthState, minibatch_top_down, top_down_full,
                               top_down_size_estimate)
 from treelab.local import LocalLearnerSession, estimate_size, local_learner
 from treelab.targets import Majority, random_truth_table, sample_dataset
-from treelab.trees import (Leaf, Split, Tree, evaluate_masks, leaf_of,
-                           random_partial_tree)
+from treelab.trees import evaluate_masks, leaf_of, parse_tree, random_partial_tree
 
 
 class TestEstimateSize:
     def test_single_leaf_any_strands(self):
-        tree = Tree(4, Leaf(0))
+        tree = parse_tree("(leaf 0)", 4)
         assert estimate_size(tree, np.arange(16, dtype=np.uint64)) == 1.0
         assert estimate_size(tree, [Point(4, 3)]) == 1.0
 
     def test_full_cube_gives_exact_size(self):
         # Depth profile {1, 2, 2}: mean of 2^depth over the cube is 3.
-        tree = Tree(2, Split(0, Leaf(0), Split(1, Leaf(0), Leaf(1))))
+        tree = parse_tree("(split 1 (leaf 0) (split 2 (leaf 0) (leaf 1)))", 2)
         assert estimate_size(tree, np.arange(4, dtype=np.uint64)) == 3.0
 
     def test_empty_strands_rejected(self):
         with pytest.raises(ValueError):
-            estimate_size(Tree(2, Leaf(0)), [])
+            estimate_size(parse_tree("(leaf 0)", 2), [])
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.data())
     @settings(max_examples=200, deadline=None)
@@ -61,7 +60,7 @@ class TestEstimateSize:
         ["3"],
     ])
     def test_points_outside_the_cube_rejected(self, points):
-        tree = Tree(4, Split(0, Leaf(0), Split(2, Leaf(0), Leaf(1))))
+        tree = parse_tree("(split 1 (leaf 0) (split 3 (leaf 0) (leaf 1)))", 4)
         with pytest.raises(ValueError):
             estimate_size(tree, points)
 

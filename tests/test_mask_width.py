@@ -18,7 +18,7 @@ from treelab.core import (LabeledDataset, LeafPools, UnlabeledDataset, consisten
                           mask_bits, mask_dtype, read_dataset, write_dataset)
 from treelab.impurity import GINI, HISTOGRAM_ROWS, batch_local_gains
 from treelab.targets import Dictator, Majority, ReadOnceDNF, Tribes, Xor
-from treelab.trees import Leaf, Split, Tree, evaluate_masks
+from treelab.trees import evaluate_masks, parse_tree
 
 DIMS = [31, 32, 33, 63]
 
@@ -111,8 +111,9 @@ def test_targets_and_trees_equal_on_the_uint64_masks(d, k, seed):
     for target in targets:
         got = target.eval_masks(narrow)
         assert got.tobytes() == target.eval_masks(masks).tobytes(), target
-    tree = Tree(d, Split(top, Split(0, Leaf(0), Leaf(1)),
-                         Split(top - 1, Leaf(1), Split(top - 2, Leaf(0), Leaf(1)))))
+    # Splits on top, then 0 and top - 1, then top - 2 (0-based); the text is 1-based.
+    tree = parse_tree(f"(split {d} (split 1 (leaf 0) (leaf 1))"
+                      f" (split {d - 1} (leaf 1) (split {d - 2} (leaf 0) (leaf 1))))", d)
     assert evaluate_masks(tree, narrow).tobytes() == evaluate_masks(tree, masks).tobytes()
     assert evaluate_masks(tree, narrow)[masks >> top == 0].tolist() == \
         (masks[masks >> top == 0] & 1).tolist()

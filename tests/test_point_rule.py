@@ -17,12 +17,12 @@ from treelab.core import (LabeledDataset, LabelOracle, Point, RandomnessTape,
 from treelab.impurity import GINI
 from treelab.local import LocalLearnerSession, estimate_size
 from treelab.targets import Dictator, Majority, TruthTable, Xor, sample_dataset
-from treelab.trees import Leaf, Split, Tree, evaluate_masks
+from treelab.trees import evaluate_masks, parse_tree
 
 D = 4
 # Leaf depths 1..4, so the size estimate of one point tells its leaf.
-TREE = Tree(D, Split(0, Leaf(0), Split(1, Leaf(1), Split(2, Leaf(0),
-                                                       Split(3, Leaf(1), Leaf(0))))))
+TREE = parse_tree("(split 1 (leaf 0) (split 2 (leaf 1) (split 3 (leaf 0)"
+                  " (split 4 (leaf 1) (leaf 0)))))", D)
 
 INT_TYPES = [np.int8, np.int16, np.int32, np.int64,
              np.uint8, np.uint16, np.uint32, np.uint64]

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treelab.core import Point, RandomnessTape
+from treelab.core import Point, RandomnessTape, UnlabeledDataset, mask_dtype
 from treelab.targets import (Dictator, ExplicitTree, Majority, ReadOnceDNF,
                              Tribes, TruthTable, Xor, exact_error,
                              is_monotone, monte_carlo_error, parse_target,
                              random_monotone_tree_target, random_truth_table,
                              sample_dataset, sample_product_masks)
-from treelab.trees import Leaf, Tree, evaluate_tree, serialize_tree
+from treelab.trees import evaluate_tree, parse_tree, serialize_tree
 
 
 class TestEvaluation:
@@ -109,6 +109,15 @@ class TestSampling:
         freq = bits.mean(axis=0)
         assert np.all(np.abs(freq - bias) < 0.02)
 
+    @pytest.mark.parametrize("d", [10, 32, 33])
+    def test_product_masks_in_the_mask_dtype(self, d):
+        bias = np.linspace(0.1, 0.9, d)
+        masks = sample_product_masks(bias, 500, RandomnessTape(3), key="w")
+        assert masks.dtype == mask_dtype(d)
+        assert UnlabeledDataset(d, masks).masks is masks
+        bits = RandomnessTape(3).substream("product-dist", "w").random((500, d)) < bias
+        assert masks.tolist() == [sum(1 << i for i in range(d) if row[i]) for row in bits]
+
 
 class TestExactError:
     def test_tree_against_itself(self):
@@ -117,7 +126,7 @@ class TestExactError:
         assert exact_error(target, target.tree) == 0.0
 
     def test_constant_tree_against_dictator(self):
-        tree = Tree(4, Leaf(0))
+        tree = parse_tree("(leaf 0)", 4)
         assert exact_error(Dictator(4, 2), tree) == 0.5
 
     def test_complement_identity(self):
@@ -137,7 +146,7 @@ class TestExactError:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            exact_error(Dictator(4, 0), Tree(5, Leaf(0)))
+            exact_error(Dictator(4, 0), parse_tree("(leaf 0)", 5))
 
 
 class TestRandomTargets:
