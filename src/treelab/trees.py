@@ -27,7 +27,8 @@ class Tree:
     Built from any {path: coord} and {path: label} tables: the entries the
     root reaches are kept, in canonical order, and the rest dropped.  A
     coordinate must lie in [0, d) and repeat nowhere along its path, and
-    every leaf needs a label None, 0 or 1.
+    every leaf needs a label None, 0 or 1.  The tables are the tree's own
+    copies: edit a tree through split_leaf and relabel, not in place.
     """
 
     d: int
@@ -122,7 +123,8 @@ def evaluate_masks(tree: Tree, masks: np.ndarray) -> np.ndarray:
 
 def tree_from_splits(d: int, splits: dict, labels: dict) -> Tree:
     """The tree of {path: coord} internal nodes and {path: label} leaves (see
-    Tree): every path the splits reach and do not split needs a label."""
+    Tree): every path the splits reach and do not split needs a label.
+    Every builder goes through it: perfbench/tracing.py times them by its name."""
     return Tree(d, splits, labels)
 
 

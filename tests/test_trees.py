@@ -128,12 +128,12 @@ class TestStructure:
         assert tree.size == internal + 1 == 13
 
     def test_repeat_coordinate_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="repeats along a path"):
             tree_from_splits(3, {(): 0, ((0, 1),): 0},
                              {((0, -1),): 0, ((0, 1), (0, -1)): 0, ((0, 1), (0, 1)): 1})
 
     def test_coordinate_range_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="out of range for d=2"):
             tree_from_splits(2, {(): 5}, {((5, -1),): 0, ((5, 1),): 1})
 
     def test_split_leaf_extends_path(self):
