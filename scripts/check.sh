@@ -1,6 +1,6 @@
 #!/bin/sh
 # Run the library's test suite, the benchmark's own tests, one pass of each
-# benchmark workload, the label-complexity experiment, then the CLI demo.
+# benchmark workload, the smallest row of the scale curve, then the CLI demo.
 # The tests need two pytest invocations: tests/ and perfbench/tests/ each
 # have a conftest module that their tests import by name, so one run fails
 # collection.  Run from the repository root; extra arguments go to both
@@ -35,14 +35,18 @@ python -m pytest -q -W error -W "$IGNORE" perfbench/tests "$@"
 for workload in estimate train cli; do
     python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 0 > /dev/null
 done
-# The label-complexity experiment the README describes, at a small t and b,
-# and the smallest row of the committed scale curve.
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 scripts/label_complexity.py --t 16 --b 32 > /dev/null
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 scripts/scale_curve.py --log2-n 16 > /dev/null
 # The demo keeps its artifacts for inspection; here they go in a directory
 # removed on exit.
 DEMO_TMP=$(mktemp -d)
 trap 'rm -rf "$DEMO_TMP"' EXIT
+# The smallest row of the committed scale curve, which exits non-zero when the
+# estimator's error differs from the global tree's test error.  The committed
+# curve must have the script's columns, so it cannot go stale when one changes.
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 scripts/scale_curve.py --log2-n 16 > "$DEMO_TMP/curve.tsv"
+if [ "$(head -n 1 "$DEMO_TMP/curve.tsv")" != "$(grep -v '^#' scripts/scale_curve.tsv | head -n 1)" ]; then
+    echo "check.sh: scripts/scale_curve.tsv does not have scripts/scale_curve.py's columns" >&2
+    exit 1
+fi
 TMPDIR=$DEMO_TMP sh scripts/demo.sh
 # Each tree the demo trains (d = 10) reads back through parse_tree and is
 # written again byte for byte, as `train --out-tree` writes it.

@@ -1,13 +1,19 @@
 #!/usr/bin/env python3
-"""Scale curve of the learnability estimator: labels, time and memory as the
-unlabeled set grows from 2^16 to 2^24 points.
+"""Labels against n: what estimating the would-be tree's error costs as the
+unlabeled set grows from 2^16 to 2^24 points, next to that tree's exact error.
 
 The setting is the estimate benchmark's: the d = 20 read-once DNF
 1&2|3&4&5|6&7&8&9|10&11&12&13&14|15&16&17&18&19&20, gini impurity, t = 64,
 b = 256, 300 test points and tape seed 7.  Each n runs in an interpreter of
 its own, so peak_rss_mb, that process's peak resident memory, belongs to that
-n alone.  wall_s is the seconds the oracle and the estimator took.  The
-label count should stay flat while n grows.  Output is a TSV on stdout.
+n alone.  wall_s is the seconds the oracle and the estimator took, and both
+are read before anything else runs.  Then the n points are labeled and the
+global size-estimate tree is grown under the same tape: true_error is its
+exact error over all 2^20 points and t_prime its size.  The label count
+should stay flat while n grows, and error should track true_error.  A row
+fails, and the run exits non-zero, if the estimator's error differs from the
+tree's error on the test points.  Output is a TSV on stdout with the columns
+n unique_labels error true_error t_prime wall_s peak_rss_mb.
 
 Usage: python3 scripts/scale_curve.py [--log2-n 16 18 20 22 24]
 """
@@ -24,21 +30,30 @@ D, T, B, N_TEST, SEED = 20, 64, 256, 300, 7
 
 
 def row(n: int) -> str:
-    from treelab.core import LabelOracle, RandomnessTape, sample_points
+    from treelab.core import LabeledDataset, LabelOracle, RandomnessTape, sample_points
     from treelab.estimator import estimate_learnability
     from treelab.impurity import get_impurity
-    from treelab.targets import parse_target, sample_dataset
+    from treelab.learners import top_down_size_estimate
+    from treelab.targets import exact_error, parse_target, sample_dataset
+    from treelab.trees import evaluate_masks
 
-    target, tape = parse_target(TARGET, D), RandomnessTape(SEED)
+    target, tape, impurity = parse_target(TARGET, D), RandomnessTape(SEED), get_impurity("gini")
     points = sample_points(D, n, tape)
     test = sample_dataset(target, N_TEST, tape, key="test")
     start = time.perf_counter()
     oracle = LabelOracle(target, points)
-    report = estimate_learnability(T, B, points, oracle, test, get_impurity("gini"), tape)
+    report = estimate_learnability(T, B, points, oracle, test, impurity, tape)
     wall_s = time.perf_counter() - start
     # ru_maxrss is in KiB on Linux.
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return f"{n}\t{report.unique_labels}\t{report.error:.4f}\t{wall_s:.3f}\t{peak_rss_mb:.1f}"
+    labeled = LabeledDataset(D, points.masks, target.eval_masks(points.masks))
+    tree = top_down_size_estimate(T, B, labeled, impurity, tape).tree
+    wrong = int((evaluate_masks(tree, test.masks) != test.labels).sum())
+    if report.error != wrong / N_TEST:
+        raise RuntimeError(f"n={n}: estimated error {report.error!r} != the tree's "
+                           f"test error {wrong / N_TEST!r}")
+    return (f"{n}\t{report.unique_labels}\t{report.error:.4f}\t"
+            f"{exact_error(target, tree):.4f}\t{tree.size}\t{wall_s:.3f}\t{peak_rss_mb:.1f}")
 
 
 def main() -> int:
@@ -49,7 +64,7 @@ def main() -> int:
     if args.one is not None:
         print(row(1 << args.one))
         return 0
-    print("n\tunique_labels\terror\twall_s\tpeak_rss_mb", flush=True)
+    print("n\tunique_labels\terror\ttrue_error\tt_prime\twall_s\tpeak_rss_mb", flush=True)
     for k in args.log2_n:
         subprocess.run([sys.executable, os.path.abspath(__file__), "--one", str(k)], check=True)
     return 0

@@ -10,6 +10,7 @@ Coordinates are 0-based in memory; all text formats are 1-based.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 from typing import IO, Iterator, Optional, Sequence, Union
 
@@ -145,24 +146,25 @@ def encode_path(path: LeafPath) -> str:
     return "".join(f"{i + 1}{'+' if s == 1 else '-'}" for i, s in path)
 
 
+def parse_natural(text: str) -> int:
+    """An integer spelled as the program writes it: ASCII `0` or `[1-9][0-9]*`,
+    so a sign, `_`, leading zero or non-ASCII digit that int() takes is a ValueError."""
+    if not (text.isascii() and text.isdigit() and (text == "0" or text[0] != "0")):
+        raise ValueError(f"malformed integer {text!r}")
+    return int(text)
+
+
 def parse_path(text: str) -> LeafPath:
     if text == ".":
         return ()
-    out = []
-    num = ""
-    for ch in text:
-        if ch.isdigit():
-            num += ch
-        elif ch in "+-":
-            if not num or int(num) < 1:
-                raise ValueError(f"malformed path {text!r}")
-            out.append((int(num) - 1, 1 if ch == "+" else -1))
-            num = ""
-        else:
-            raise ValueError(f"malformed path {text!r}")
-    if num:
-        raise ValueError(f"malformed path {text!r}")
-    return tuple(out)
+    try:
+        *nums, tail = re.split("[+-]", text)
+        coords = [parse_natural(num) - 1 for num in nums]
+        if tail or min(coords, default=0) < 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"malformed path {text!r}") from None
+    return tuple(zip(coords, (1 if ch == "+" else -1 for ch in text if ch in "+-")))
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +374,10 @@ class RandomnessTape:
         return np.random.default_rng(int.from_bytes(h.digest(), "little"))
 
     def uniform_masks(self, d: int, count: int, domain: str, key: str = "") -> np.ndarray:
-        """count i.i.d. uniform points of {-1,+1}^d in mask_dtype(d), drawn as
-        uint64 and narrowed after, so the points do not depend on the dtype."""
+        """count i.i.d. uniform points of {-1,+1}^d, drawn in mask_dtype(d): the same
+        values as a uint64 draw, so they do not depend on the dtype (test_core pins it)."""
         _check_dim(d)
-        masks = self.substream(domain, key).integers(0, 1 << d, size=count, dtype=np.uint64)
-        return masks.astype(mask_dtype(d), copy=False)
+        return self.substream(domain, key).integers(0, 1 << d, size=count, dtype=mask_dtype(d))
 
 
 def sample_points(d: int, n: int, tape: RandomnessTape, key: str = "train") -> UnlabeledDataset:
@@ -610,7 +611,8 @@ def read_trace(fp: IO[str]) -> RunTrace:
             continue
         if len(parts) != 6:
             raise ValueError(f"malformed trace line: {line!r}")
-        j, path, depth, coord = int(parts[0]), parse_path(parts[1]), int(parts[2]), int(parts[3])
+        j, depth, coord = (parse_natural(parts[k]) for k in (0, 2, 3))
+        path = parse_path(parts[1])
         entry = TraceEntry(j, path, depth, coord - 1, float(parts[4]), float(parts[5]))
         if entry.depth != len(path):
             raise ValueError(f"trace line {j}: depth field disagrees with path")

@@ -17,7 +17,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .core import LeafPath, Point, _check_dim, as_masks, path_coords, sign_bit
+from .core import LeafPath, Point, _check_dim, as_masks, parse_natural, path_coords, sign_bit
 
 
 @dataclass(frozen=True)
@@ -150,8 +150,7 @@ def random_partial_tree(rng: np.random.Generator, d: int, n_leaves: int,
     eligible leaf remains."""
     splits: dict = {}
     frontier: List[LeafPath] = [()]
-    leaves = 1
-    while leaves < n_leaves:
+    while len(frontier) < n_leaves:
         eligible = [
             (k, p) for k, p in enumerate(frontier)
             if len(p) < d and (max_depth is None or len(p) < max_depth)
@@ -164,7 +163,6 @@ def random_partial_tree(rng: np.random.Generator, d: int, n_leaves: int,
         splits[path] = coord
         frontier.pop(k)
         frontier.extend([path + ((coord, -1),), path + ((coord, 1),)])
-        leaves += 1
     labels = {p: None for p in frontier}
     return tree_from_splits(d, splits, labels)
 
@@ -214,7 +212,7 @@ def parse_tree(text: str, d: int) -> Tree:
         expect("(")
         head = atom()
         if head == "leaf":
-            lbl = int(atom())
+            lbl = parse_natural(atom())
             if lbl not in (0, 1):
                 raise ValueError(f"leaf label must be 0 or 1, got {lbl}")
             labels[path] = lbl
@@ -222,7 +220,7 @@ def parse_tree(text: str, d: int) -> Tree:
             # A path repeats no coordinate, so no valid split sits at depth d.
             if len(path) >= d:
                 raise ValueError(f"tree nested deeper than d={d}")
-            coord = splits[path] = int(atom()) - 1
+            coord = splits[path] = parse_natural(atom()) - 1
             node(path + ((coord, -1),))
             node(path + ((coord, 1),))
         else:

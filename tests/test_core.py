@@ -66,6 +66,11 @@ class TestLeafPaths:
         with pytest.raises(ValueError, match="malformed path"):
             parse_path(bad)
 
+    @pytest.mark.parametrize("bad", ["01+", "\u0662+", "3+01-"])
+    def test_numbers_the_writer_never_spells_rejected(self, bad):
+        with pytest.raises(ValueError, match="malformed path"):
+            parse_path(bad)
+
     @pytest.mark.parametrize("bad", ["3", "3x", "+", "1+2"])
     def test_sign_missing_or_unknown_character_rejected(self, bad):
         with pytest.raises(ValueError, match="malformed path"):
@@ -103,6 +108,19 @@ class TestTape:
     def test_masks_in_range(self):
         masks = RandomnessTape(0).uniform_masks(5, 1000, "r")
         assert masks.max() < 32
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    def test_draws_equal_the_uint64_stream_narrowed(self, seed):
+        # Points are drawn in mask_dtype(d).  Every dataset, tree and trace is
+        # pinned to the uint64 draw narrowed after, so a numpy whose uint32
+        # draw leaves that stream must fail here, not change the data.
+        for d in [*range(1, 33), 33, 40, 63]:
+            for n in (0, 1, 2, 7, 1000, 4097, (1 << 17) + 3):
+                wide = RandomnessTape(seed).substream("p", "k").integers(
+                    0, 1 << d, size=n, dtype=np.uint64)
+                masks = RandomnessTape(seed).uniform_masks(d, n, "p", "k")
+                assert masks.dtype == mask_dtype(d)
+                assert np.array_equal(masks, wide), (d, n)
 
     def test_seed_outside_64_bits_rejected(self):
         # Seeds are hashed as 8 bytes; wider ones would alias a seed in range.
@@ -895,6 +913,14 @@ class TestRunTrace:
     ])
     def test_wrong_field_count_or_depth_rejected(self, line, match):
         with pytest.raises(ValueError, match=match):
+            read_trace(io.StringIO(line))
+
+    @pytest.mark.parametrize("line", [
+        "01 . 0 1 0.5 2.0\n", "1 . 0 +1 0.5 2.0\n", "1 . 0 1_0 0.5 2.0\n",
+        "1 . 00 1 0.5 2.0\n", "\u0661 . 0 1 0.5 2.0\n",
+    ])
+    def test_numbers_the_writer_never_spells_rejected(self, line):
+        with pytest.raises(ValueError, match="malformed integer"):
             read_trace(io.StringIO(line))
 
     def test_validate_catches_depth_cap(self):

@@ -229,6 +229,17 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             parse_tree(bad, 3)
 
+    @pytest.mark.parametrize("bad", [
+        "(split 1_0 (leaf 0) (leaf 1))", "(split \u0662 (leaf 0) (leaf 1))",
+        "(split 0002 (leaf 0) (leaf 1))", "(split +2 (leaf 0) (leaf 1))",
+        "(leaf +1)", "(leaf 01)", "(leaf \u0661)",
+    ])
+    def test_numbers_the_writer_never_spells_rejected(self, bad):
+        # int() reads each of these as a valid coordinate or label, which
+        # serialize_tree would write back as different text.
+        with pytest.raises(ValueError, match="malformed integer"):
+            parse_tree(bad, 12)
+
     def test_nesting_deeper_than_d_rejected(self):
         chain = "(split 1 (split 2 (split 3 (leaf 0) (leaf 1)) (leaf 1)) (leaf 0))"
         assert parse_tree(chain, 3).depth == 3
