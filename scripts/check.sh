@@ -31,9 +31,13 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -W error -W "$IGNO
 python -m pytest -q -W error -W "$IGNORE" perfbench/tests "$@"
 # run.py exits 1 when a pass fails its checks: the train trees and traces
 # against their recorded digests, the estimate against the direct error, and
-# the CLI's outputs against the library's.
+# the CLI's outputs against the library's.  The traced pass also fails when
+# tracing changes an output or a per-layer metric goes unmeasured, so a
+# change to a traced layer cannot leave its trace broken until the next
+# measurement.
 for workload in estimate train cli; do
     python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 0 > /dev/null
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 0 --trace 1 > /dev/null
 done
 # The demo keeps its artifacts for inspection; here they go in a directory
 # removed on exit.
@@ -58,6 +62,14 @@ with open(sys.argv[1], encoding="utf-8") as src, open(sys.argv[2], "w", encoding
     dst.write(serialize_tree(parse_tree(src.read(), 10)) + "\n")' "$tree" "$DEMO_TMP/again.tree"
     cmp "$tree" "$DEMO_TMP/again.tree"
 done
+# The trace the demo writes reads back through read_trace and is written
+# again byte for byte.
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -c '
+import sys
+from treelab.core import read_trace, write_trace
+with open(sys.argv[1], encoding="utf-8") as src, open(sys.argv[2], "w", encoding="utf-8") as dst:
+    write_trace(read_trace(src), dst)' "$DEMO_TMP"/*/mb.trace "$DEMO_TMP/again.trace"
+cmp "$DEMO_TMP"/*/mb.trace "$DEMO_TMP/again.trace"
 # Each file gen-data writes, labeled or not, reads back and is written again
 # byte for byte, so the reader and the writer agree on the CLI's own files.
 for d in 10 63; do

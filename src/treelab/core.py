@@ -392,18 +392,18 @@ def sample_points(d: int, n: int, tape: RandomnessTape, key: str = "train") -> U
 
 @dataclass
 class Minibatch:
-    """Up to b dataset entries consistent with a leaf, drawn without
-    replacement (labels None from an unlabeled dataset).  A LeafPools pool
-    of over b points has labels None, and masks only once it is a parent."""
+    """Up to b points consistent with a leaf, drawn without replacement: from
+    a labeled dataset their rows (indices None), from an unlabeled one their
+    dataset indices and masks (labels None; see LeafPools for pools)."""
 
     leaf_path: LeafPath
-    indices: np.ndarray
+    indices: Optional[np.ndarray]
     masks: Optional[np.ndarray]
     labels: Optional[np.ndarray] = None
 
     @property
     def size(self) -> int:
-        return len(self.indices)
+        return len(self.masks if self.indices is None else self.indices)
 
 
 def consistent_indices(masks: np.ndarray, path: LeafPath) -> np.ndarray:
@@ -420,15 +420,14 @@ def consistent_indices(masks: np.ndarray, path: LeafPath) -> np.ndarray:
 
 class LeafPools:
     """Leaf pools: per requested leaf, the Minibatch of every point reaching
-    it, indices ascending (int32 when n < 2^31, else int64).  A pool of at
-    most b points carries masks and labels and is the leaf's whole batch; a
-    larger one has indices only until its first child's request gathers its
-    masks (never labels), once for every child.  A pool filters its parent's
-    masks while the parent's pool is kept, else scans the dataset, so a tree
-    costs O(n*depth) scanned points, not O(n*leaves).  A pool of all its
-    source's points shares the source's arrays.  The root's pool is never
-    kept; a parent's is dropped once both children have theirs, and a leaf
-    is kept only when first served."""
+    it, in dataset order.  Over a labeled dataset it is their rows (masks and
+    labels, no indices); over an unlabeled one their indices (int32 when
+    n < 2^31, else int64), with their masks when at most b, else once the
+    first child's request gathers them for both.  A pool filters its kept
+    parent's, else scans the dataset, so a tree costs O(n*depth) scanned
+    points, not O(n*leaves); one of all its source's points shares its
+    arrays.  The root's pool is never kept; a parent's is dropped once both
+    children have theirs, and a leaf is kept only when first served."""
 
     def __init__(self, dataset: AnyDataset, b: int):
         self.masks, self.labels, self.b = dataset.masks, getattr(dataset, "labels", None), b
@@ -441,21 +440,27 @@ class LeafPools:
         if not all(0 <= c < self.d for c, _ in path):
             raise ValueError(f"path {path} has a coordinate outside [0, {self.d})")
         parent = self._pools.get(path[:-1])
-        if parent is None:
-            at = pos = consistent_indices(self.masks, path)
-            idx, masks, labels = at.astype(self._dtype, copy=False), self.masks, self.labels
+        if self.labels is not None:
+            rows = self if parent is None else parent
+            at = consistent_indices(rows.masks, path)
+            masks, labels = rows.masks, rows.labels
+            if len(at) < len(masks):
+                masks, labels = masks[at], labels[at]
+            pool = Minibatch(path, None, masks, labels)
         else:
-            if parent.masks is None:
-                parent.masks = self.masks.take(parent.indices)
-            at = consistent_indices(parent.masks, path)
-            idx, masks = parent.indices[at], parent.masks
-            labels, pos = (self.labels, idx) if parent.labels is None else (parent.labels, at)
-        if len(idx) > self.b:
-            pool = Minibatch(path, idx, None)
-        elif len(at) == len(masks):
-            pool = Minibatch(path, idx, masks, labels)
-        else:
-            pool = Minibatch(path, idx, masks[at], None if labels is None else labels[pos])
+            if parent is None:
+                at = consistent_indices(self.masks, path)
+                idx, masks = at.astype(self._dtype, copy=False), self.masks
+            else:
+                if parent.masks is None:
+                    parent.masks = self.masks.take(parent.indices)
+                at = consistent_indices(parent.masks, path)
+                idx, masks = parent.indices[at], parent.masks
+            if len(idx) > self.b:
+                masks = None
+            elif len(at) < len(masks):
+                masks = masks[at]
+            pool = Minibatch(path, idx, masks)
         if path and path not in self._served:
             self._served.add(path)
             self._pools[path] = pool
@@ -465,16 +470,16 @@ class LeafPools:
         return pool
 
 
-def _partial_shuffle_take(rng: np.random.Generator, pool: np.ndarray, k: int) -> np.ndarray:
-    # Fisher-Yates, stopped after the first k positions, replayed on
-    # positions: `moved` maps each displaced position to the one whose entry
-    # it now holds, and one gather takes the k chosen entries.
-    swaps = rng.integers(np.arange(k), len(pool))
+def _partial_shuffle_take(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
+    """The first k positions of a Fisher-Yates shuffle of positions 0..m-1."""
+    # The swaps are replayed on positions: `moved` maps each displaced
+    # position to the one it now holds, so no m-long permutation is built.
+    swaps = rng.integers(np.arange(k), m)
     take, moved = [], {}
     for i, j in enumerate(swaps.tolist()):
         take.append(moved.get(j, j))
         moved[j] = moved.get(i, i)
-    return pool[take]
+    return np.array(take, np.intp)
 
 
 def draw_minibatch(
@@ -485,26 +490,23 @@ def draw_minibatch(
     domain: str = BATCH_DOMAIN,
     pool: Optional[Minibatch] = None,
 ) -> Minibatch:
-    """Uniform without-replacement draw of b consistent entries.
-
-    If fewer than b entries are consistent with the leaf, all of them are
-    returned (in ascending dataset order).  The draw is a pure function of
-    (dataset, leaf_path, b, tape.master_seed, domain).  `pool` is the leaf's
-    pool (see LeafPools), built by one dataset scan if not given.  The batch
-    of a pool of at most b points shares its arrays.
-    """
+    """Uniform without-replacement draw of b consistent points: the leaf's
+    whole `pool` (see LeafPools; built by one scan if not given), sharing its
+    arrays, when it has at most b, else the first b positions of a
+    Fisher-Yates shuffle of it from the leaf's substream, as rows of a
+    labeled pool or indices of an unlabeled one, their masks then gathered.
+    A pure function of (dataset points, leaf_path, b, tape.master_seed,
+    domain), so a labeled dataset and its unlabeled view draw alike."""
     if b < 1:
         raise ValueError(f"batch size must be >= 1, got {b}")
     pool = LeafPools(dataset, b)(leaf_path) if pool is None else pool
-    idx = pool.indices
-    if len(idx) > b:
-        rng = tape.substream(domain, encode_path(leaf_path))
-        idx = _partial_shuffle_take(rng, idx, b)
-    elif pool.masks is not None:
-        return Minibatch(leaf_path, idx, pool.masks, pool.labels)
-    masks = dataset.masks[idx]
-    labels = dataset.labels[idx] if isinstance(dataset, LabeledDataset) else None
-    return Minibatch(leaf_path, idx, masks, labels)
+    if pool.size <= b:
+        return Minibatch(leaf_path, pool.indices, pool.masks, pool.labels)
+    take = _partial_shuffle_take(tape.substream(domain, encode_path(leaf_path)), pool.size, b)
+    if pool.indices is None:
+        return Minibatch(leaf_path, None, pool.masks[take], pool.labels[take])
+    idx = pool.indices[take]
+    return Minibatch(leaf_path, idx, dataset.masks[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +606,7 @@ def write_trace(trace: RunTrace, fp: IO[str]) -> None:
 
 
 def read_trace(fp: IO[str]) -> RunTrace:
+    """What write_trace wrote, each number read only in the spelling it writes."""
     trace = RunTrace()
     for line in fp:
         parts = line.split()
@@ -613,7 +616,13 @@ def read_trace(fp: IO[str]) -> RunTrace:
             raise ValueError(f"malformed trace line: {line!r}")
         j, depth, coord = (parse_natural(parts[k]) for k in (0, 2, 3))
         path = parse_path(parts[1])
-        entry = TraceEntry(j, path, depth, coord - 1, float(parts[4]), float(parts[5]))
+        try:
+            gain, e = (float(text) for text in parts[4:])
+            if [repr(gain), repr(e)] != parts[4:]:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"malformed float in trace line: {line!r}") from None
+        entry = TraceEntry(j, path, depth, coord - 1, gain, e)
         if entry.depth != len(path):
             raise ValueError(f"trace line {j}: depth field disagrees with path")
         if coord < 1:

@@ -150,9 +150,11 @@ class GrowthState:
         return size
 
     def complete(self) -> Tree:
-        """The grown tree, each leaf labeled by its batch majority."""
+        """The grown tree, each leaf labeled by its batch majority.  Growth ends:
+        the leaf source and its pools are dropped; splits, leaves and frontier stay."""
         labels = {p: completion_label((rec or self.record(p)).batch)
                   for p, rec in self.leaves.items()}
+        self.record = None
         return tree_from_splits(self.d, self.splits, labels)
 
 
@@ -167,10 +169,13 @@ class TrainResult:
 def leaf_source(dataset: AnyDataset, impurity: ImpurityFunction, b: int,
                 tape: Optional[RandomnessTape], oracle: Optional[LabelOracle] = None):
     """record(path) scoring each leaf on its path-keyed minibatch of size b
-    (every consistent point when at most b are), labeled by `oracle` when
-    given, else by the dataset."""
+    (every consistent point when at most b are), labeled by the dataset's
+    rows, or, when `oracle` is given, by it per dataset index, from pools
+    over the dataset's unlabeled view (see LeafPools)."""
     if oracle is None and not isinstance(dataset, LabeledDataset):
         raise ValueError("learner needs a labeled dataset or a label oracle")
+    if oracle is not None and isinstance(dataset, LabeledDataset):
+        dataset = dataset.unlabeled()
     pools = LeafPools(dataset, b)
 
     def record(path: LeafPath) -> LeafRecord:

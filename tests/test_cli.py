@@ -1,11 +1,13 @@
 import argparse
 import hashlib
+import io
 import json
 import statistics
 
 import pytest
 
 from treelab.cli import build_parser, main
+from treelab.core import read_trace, write_trace
 from treelab.targets import Majority, ReadOnceDNF, parse_target
 from treelab.trees import parse_tree
 
@@ -50,6 +52,21 @@ class TestTrain:
         assert tree.size <= 16
         assert out.startswith("size=")
         assert len(trace_file.read_text().splitlines()) == tree.size - 1
+
+    def test_written_traces_read_back_byte_identical(self, tmp_path, capsys):
+        # The demo's training file and learner settings, for every learner.
+        data = tmp_path / "train.txt"
+        assert main(["gen-data", "--target", "dnf:1|2&3|4&5&6", "--d", "10", "--n", "8192",
+                     "--seed", "3", "--out", str(data)]) == 0
+        for algo in ("full", "minibatch", "size-estimate"):
+            trace = tmp_path / f"{algo}.trace"
+            code, _, _ = run_cli(capsys, "train", "--algo", algo, "--t", "32", "--b", "64",
+                                 "--seed", "7", "--data", str(data), "--out-trace", str(trace))
+            text = trace.read_text(encoding="utf-8")
+            again = io.StringIO()
+            with open(trace, encoding="utf-8") as fh:
+                write_trace(read_trace(fh), again)
+            assert code == 0 and len(text.splitlines()) > 1 and again.getvalue() == text
 
     def test_all_algorithms_run(self, workdir, capsys):
         for algo in ("full", "minibatch", "size-estimate"):

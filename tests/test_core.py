@@ -138,11 +138,20 @@ def _dataset(seed=0, d=6, n=100):
     return LabeledDataset(d, masks, labels)
 
 
+def _pinned_to_indices(batch, ds, indices):
+    """A labeled pool or batch is the rows ds.masks[indices], ds.labels[indices]."""
+    assert batch.indices is None and batch.size == len(indices)
+    assert batch.masks.dtype == ds.masks.dtype and batch.labels.dtype == np.uint8
+    assert batch.masks.tobytes() == ds.masks[indices].tobytes()
+    assert batch.labels.tobytes() == ds.labels[indices].tobytes()
+
+
 class TestMinibatch:
     def test_whole_dataset_when_b_exceeds_n(self, tape):
         ds = _dataset(n=20)
-        batch = draw_minibatch(ds, (), 50, tape)
-        assert np.array_equal(batch.indices, np.arange(20))
+        indices = draw_minibatch(ds.unlabeled(), (), 50, tape).indices
+        assert np.array_equal(indices, np.arange(20))
+        _pinned_to_indices(draw_minibatch(ds, (), 50, tape), ds, indices)
 
     def test_empty_when_nothing_consistent(self, tape):
         ds = LabeledDataset(3, np.array([0b000, 0b010], dtype=np.uint64),
@@ -152,9 +161,11 @@ class TestMinibatch:
 
     def test_repeated_draws_identical(self, tape):
         ds = _dataset(n=500)
-        a = draw_minibatch(ds, ((1, -1),), 16, tape)
-        b = draw_minibatch(ds, ((1, -1),), 16, tape)
-        assert np.array_equal(a.indices, b.indices)
+        for source in (ds, ds.unlabeled()):
+            a = draw_minibatch(source, ((1, -1),), 16, tape)
+            b = draw_minibatch(source, ((1, -1),), 16, tape)
+            for got, want in ((a.indices, b.indices), (a.masks, b.masks), (a.labels, b.labels)):
+                assert (got is None) == (want is None) and np.array_equal(got, want)
 
     def test_rejects_nonpositive_b(self, tape):
         with pytest.raises(ValueError):
@@ -165,12 +176,13 @@ class TestMinibatch:
     def test_without_replacement_and_consistent(self, seed, b):
         ds = _dataset(seed=seed % 1000, n=200)
         path = ((2, 1), (5, -1))
-        batch = draw_minibatch(ds, path, b, RandomnessTape(seed))
+        batch = draw_minibatch(ds.unlabeled(), path, b, RandomnessTape(seed))
         assert len(set(batch.indices.tolist())) == batch.size
-        assert batch.size <= b
+        assert batch.size <= b and batch.labels is None
+        assert batch.masks.tobytes() == ds.masks[batch.indices].tobytes()
         for m in batch.masks:
             assert point_reaches(int(m), path)
-        assert np.array_equal(ds.labels[batch.indices], batch.labels)
+        _pinned_to_indices(draw_minibatch(ds, path, b, RandomnessTape(seed)), ds, batch.indices)
 
     def test_inclusion_frequency_uniform(self):
         # Monte-Carlo: each consistent index should appear with frequency
@@ -181,10 +193,12 @@ class TestMinibatch:
         m, b, trials = len(pool), 5, 1000
         counts = {int(i): 0 for i in pool}
         for trial in range(trials):
-            batch = draw_minibatch(ds, path, b, RandomnessTape(trial), domain=f"mc{trial}")
+            tape, domain = RandomnessTape(trial), f"mc{trial}"
+            batch = draw_minibatch(ds.unlabeled(), path, b, tape, domain=domain)
             assert batch.size == b
             for i in batch.indices:
                 counts[int(i)] += 1
+            _pinned_to_indices(draw_minibatch(ds, path, b, tape, domain=domain), ds, batch.indices)
         p = b / m
         sd = (trials * p * (1 - p)) ** 0.5
         for i, c in counts.items():
@@ -208,13 +222,15 @@ class TestPartialShuffle:
     @settings(max_examples=200, deadline=None)
     def test_equals_swap_loop(self, m, frac, dtype, seed):
         k = max(1, round(frac * m))
+        # The positions taken are those the swap loop leaves in front, and
+        # they take from a pool the entries the swap loop takes from it.
         pool = np.sort(np.random.default_rng(seed).choice(4 * m, m, replace=False)).astype(dtype)
-        before = pool.copy()
-        got = _partial_shuffle_take(np.random.default_rng(seed), pool, k)
+        take = _partial_shuffle_take(np.random.default_rng(seed), m, k)
+        front = _swap_loop_take(np.random.default_rng(seed), np.arange(m), k)
+        assert take.dtype == np.intp and take.tolist() == front.tolist()
         want = _swap_loop_take(np.random.default_rng(seed), pool, k)
-        assert got.dtype == want.dtype == dtype
-        assert got.tolist() == want.tolist()
-        assert np.array_equal(pool, before)
+        assert pool[take].dtype == want.dtype == dtype
+        assert pool[take].tolist() == want.tolist()
 
 
 @st.composite
@@ -242,41 +258,43 @@ def pool_requests(draw):
 
 
 class TestLeafPools:
-    @given(pool_requests(), st.integers(1, 90), st.booleans())
+    @given(pool_requests(), st.integers(1, 90))
     @settings(max_examples=300, deadline=None)
-    def test_pools_equal_a_full_scan(self, case, b, labeled):
+    def test_pools_equal_a_full_scan(self, case, b):
+        # Pools over the unlabeled view hold the scan's indices; pools over
+        # the labeled dataset, served the same requests, hold those rows.
         masks, requests = case
-        ds = UnlabeledDataset(6, masks)
-        if labeled:
-            ds = LabeledDataset(6, masks, masks % np.uint64(3) == 0)
-        pools = LeafPools(ds, b)
+        ds = LabeledDataset(6, masks, masks % np.uint64(3) == 0)
+        view = ds.unlabeled()
+        index_pools, row_pools = LeafPools(view, b), LeafPools(ds, b)
         for path in requests:
-            pool = pools(path)
+            pool, rows = index_pools(path), row_pools(path)
             assert pool.indices.tolist() == consistent_indices(masks, path).tolist()
             assert np.all(np.diff(pool.indices) > 0)
             assert pool.indices.dtype == np.int32
+            _pinned_to_indices(rows, ds, pool.indices)
+            if len(pool.indices) == len(masks):
+                assert rows.masks is ds.masks and rows.labels is ds.labels
             if len(pool.indices) > b:
                 assert pool.masks is None and pool.labels is None
                 continue
-            # A pool of at most b points carries its points and is the batch.
-            assert pool.masks.dtype == ds.masks.dtype == np.uint32
+            # An unlabeled pool of at most b points carries its points and
+            # is the batch.
+            assert pool.masks.dtype == view.masks.dtype == np.uint32
             assert pool.masks.tolist() == masks[pool.indices].tolist()
-            if labeled:
-                assert pool.labels.dtype == np.uint8
-                assert pool.labels.tobytes() == ds.labels[pool.indices].tobytes()
-            else:
-                assert pool.labels is None
+            assert pool.labels is None
             if len(pool.indices) == len(masks):
-                assert pool.masks is ds.masks and pool.labels is getattr(ds, "labels", None)
-            batch = draw_minibatch(ds, path, b, RandomnessTape(0), pool=pool)
-            for got, own in ((batch.indices, pool.indices), (batch.masks, pool.masks),
-                             (batch.labels, pool.labels)):
-                assert got is own
-                assert own is None or own.size == 0 or np.shares_memory(got, own)
-            # An oracle sets the batch's labels; the pool keeps its own.
-            own_labels = pool.labels
-            batch.labels = np.ones(batch.size, np.uint8)
-            assert batch is not pool and pool.labels is own_labels
+                assert pool.masks is view.masks
+            for source, own in ((view, pool), (ds, rows)):
+                batch = draw_minibatch(source, path, b, RandomnessTape(0), pool=own)
+                for got, kept in ((batch.indices, own.indices), (batch.masks, own.masks),
+                                  (batch.labels, own.labels)):
+                    assert got is kept
+                    assert kept is None or kept.size == 0 or np.shares_memory(got, kept)
+                # An oracle sets the batch's labels; the pool keeps its own.
+                own_labels = own.labels
+                batch.labels = np.ones(batch.size, np.uint8)
+                assert batch is not own and own.labels is own_labels
 
     def test_empty_dataset_and_unreached_leaves(self):
         pools = LeafPools(UnlabeledDataset(3, np.zeros(0, np.uint64)), 1)
@@ -292,26 +310,34 @@ class TestLeafPools:
     def test_parent_masks_gathered_once_for_both_children(self):
         ds = _dataset(n=500)
         parent_path, b = ((1, -1),), 8
-        pools = LeafPools(ds, b)
+        pools = LeafPools(ds.unlabeled(), b)
         parent = pools(parent_path)
         assert len(parent.indices) > b and parent.masks is None
         pools(parent_path + ((3, -1),))
         gathered = parent.masks
         assert gathered.tobytes() == ds.masks[parent.indices].tobytes()
         assert parent.labels is None
+        # A labeled pool is filtered from its parent's rows the same way.
+        row_pools = LeafPools(ds, b)
+        row_parent = row_pools(parent_path)
+        _pinned_to_indices(row_parent, ds, parent.indices)
+        row_pools(parent_path + ((3, -1),))
         scanned = []
 
         def counted(masks, path):
             scanned.append(masks)
             return consistent_indices(masks, path)
 
-        dropped = weakref.ref(parent)
-        del parent
+        dropped = weakref.ref(parent), weakref.ref(row_parent)
+        row_masks = row_parent.masks
+        del parent, row_parent
         with mock.patch("treelab.core.consistent_indices", counted):
             plus = pools(parent_path + ((3, 1),))
-        assert len(scanned) == 1 and scanned[0] is gathered
-        assert dropped() is None
+            row_plus = row_pools(parent_path + ((3, 1),))
+        assert len(scanned) == 2 and scanned[0] is gathered and scanned[1] is row_masks
+        assert dropped[0]() is None and dropped[1]() is None
         assert plus.indices.tolist() == consistent_indices(ds.masks, plus.leaf_path).tolist()
+        _pinned_to_indices(row_plus, ds, plus.indices)
 
     @pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3])
     def test_blocked_scan_equals_brute_force(self, n):
@@ -333,8 +359,11 @@ class TestLeafPools:
             return returned[-1]
 
         with mock.patch("treelab.core.consistent_indices", recorded):
-            pool = LeafPools(ds, 8)(())
+            pool = LeafPools(ds.unlabeled(), 8)(())
+            rows = LeafPools(ds, 8)(())
         assert pool.indices is returned[0]
+        # The labeled root pool is the dataset's own rows.
+        assert rows.indices is None and rows.masks is ds.masks and rows.labels is ds.labels
 
     @pytest.mark.parametrize("d, coord", [(20, 20), (20, 25), (20, 40), (20, -1),
                                           (40, 40), (40, 63), (40, -1)])
@@ -354,21 +383,26 @@ class TestLeafPools:
         ds = _dataset(n=500)
         path = ((1, -1), (3, 1))
         for b in (1, 16, 500):
-            pool = LeafPools(ds, b)(path)
-            a = draw_minibatch(ds, path, b, tape)
-            c = draw_minibatch(ds, path, b, tape, pool=pool)
+            view = ds.unlabeled()
+            a = draw_minibatch(view, path, b, tape)
+            c = draw_minibatch(view, path, b, tape, pool=LeafPools(view, b)(path))
             assert a.indices.tolist() == c.indices.tolist()
-            assert np.array_equal(a.labels, c.labels)
+            assert a.labels is None and c.labels is None
             assert a.masks.tobytes() == c.masks.tobytes()
+            _pinned_to_indices(draw_minibatch(ds, path, b, tape), ds, a.indices)
+            _pinned_to_indices(draw_minibatch(ds, path, b, tape, pool=LeafPools(ds, b)(path)),
+                               ds, a.indices)
 
     @given(pool_requests(), st.integers(1, 90), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_draw_indices_equal_with_and_without_pool(self, case, b, seed):
         # Every draw's indices have the pools' dtype, and a draw given no
-        # pool scans the dataset once.
+        # pool scans the dataset once.  The indices are those of the draws
+        # on the unlabeled view, and a labeled draw takes those rows.
         masks, requests = case
         ds = LabeledDataset(6, masks, masks % np.uint64(3) == 0)
-        pools, tape = LeafPools(ds, b), RandomnessTape(seed)
+        view, tape = ds.unlabeled(), RandomnessTape(seed)
+        sources = [(view, LeafPools(view, b)), (ds, LeafPools(ds, b))]
         scans = []
 
         def counted(masks, path):
@@ -376,15 +410,54 @@ class TestLeafPools:
             return consistent_indices(masks, path)
 
         for path in requests:
-            pool = pools(path)
-            with mock.patch("treelab.core.consistent_indices", counted):
-                scanned = draw_minibatch(ds, path, b, tape)
-                assert scans == [path]
-                pooled = draw_minibatch(ds, path, b, tape, pool=pool)
-                assert scans == [path]
-            scans.clear()
+            draws = []
+            for source, pools in sources:
+                pool = pools(path)
+                with mock.patch("treelab.core.consistent_indices", counted):
+                    draws.append(draw_minibatch(source, path, b, tape))
+                    assert scans == [path]
+                    draws.append(draw_minibatch(source, path, b, tape, pool=pool))
+                    assert scans == [path]
+                scans.clear()
+            scanned, pooled, rows_scanned, rows_pooled = draws
             assert scanned.indices.dtype == pooled.indices.dtype == np.int32
             assert scanned.indices.tobytes() == pooled.indices.tobytes()
+            _pinned_to_indices(rows_scanned, ds, scanned.indices)
+            _pinned_to_indices(rows_pooled, ds, scanned.indices)
+
+
+@st.composite
+def draw_cases(draw):
+    """A labeled dataset of random d and n, a leaf path over its d
+    coordinates, a batch size, a seed and whether the draw gets a pool."""
+    d, n = draw(st.integers(1, 12)), draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ds = LabeledDataset(d, rng.integers(0, 1 << d, n, dtype=np.uint64),
+                        rng.integers(0, 2, n, dtype=np.uint8))
+    coords = draw(st.permutations(range(d)))[:draw(st.integers(0, min(d, 4)))]
+    path = tuple((c, draw(st.sampled_from([-1, 1]))) for c in coords)
+    return ds, path, draw(st.integers(1, 64)), draw(st.integers(0, 2 ** 64 - 1)), draw(st.booleans())
+
+
+class TestLabeledDraw:
+    @given(draw_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_labeled_draw_is_the_rows_of_the_unlabeled_draw(self, case):
+        ds, path, b, seed, pooled = case
+        view = ds.unlabeled()
+        pools = LeafPools(view, b), LeafPools(ds, b)
+        # The pools of the path's ancestors are requested first, so the
+        # leaf's pools are filtered from their parents'.
+        for k in range(len(path) + 1):
+            kept = [p(path[:k]) for p in pools]
+            assert kept[1].indices is None
+        index_pool, row_pool = kept if pooled else (None, None)
+        indices = draw_minibatch(view, path, b, RandomnessTape(seed), pool=index_pool).indices
+        reach = consistent_indices(ds.masks, path).tolist()
+        assert len(set(indices.tolist())) == len(indices) == min(b, len(reach))
+        assert set(indices.tolist()) <= set(reach)
+        batch = draw_minibatch(ds, path, b, RandomnessTape(seed), pool=row_pool)
+        _pinned_to_indices(batch, ds, indices)
 
 
 def _rows16(k, labeled=True):
@@ -922,6 +995,25 @@ class TestRunTrace:
     def test_numbers_the_writer_never_spells_rejected(self, line):
         with pytest.raises(ValueError, match="malformed integer"):
             read_trace(io.StringIO(line))
+
+    @pytest.mark.parametrize("text", ["0_5", "+0.5", ".5", "0.50", "\u0662.0", "x", "None"])
+    @pytest.mark.parametrize("field", [4, 5])
+    def test_floats_the_writer_never_spells_rejected(self, text, field):
+        # write_trace spells gain and e with repr(); float() also takes these,
+        # and 0_5 as 5.0.
+        parts = "1 . 0 1 0.5 2.0".split()
+        parts[field] = text
+        line = " ".join(parts) + "\n"
+        with pytest.raises(ValueError, match="malformed float in trace line") as err:
+            read_trace(io.StringIO(line))
+        assert repr(line) in str(err.value)
+
+    @pytest.mark.parametrize("text", ["0.5", "-0.25", "1e-05", "2.0", "-0.0", "nan", "inf"])
+    def test_repr_floats_read_back(self, text):
+        back = read_trace(io.StringIO(f"1 . 0 1 {text} {text}\n"))
+        buf = io.StringIO()
+        write_trace(back, buf)
+        assert buf.getvalue() == f"1 . 0 1 {text} {text}\n"
 
     def test_validate_catches_depth_cap(self):
         tr = RunTrace(depth_cap=0)

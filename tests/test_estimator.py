@@ -114,6 +114,19 @@ class TestEstimateLearnability:
         assert set(rep.phase_counts) <= {"strand-forest", "test-points"}
         assert sum(rep.phase_counts.values()) == rep.unique_labels
 
+    def test_oracle_labels_by_index_given_a_labeled_dataset(self, three_term_dnf):
+        # The dataset's own labels are flipped: the run must read the
+        # oracle's, by dataset index, as it does on the unlabeled view.
+        tape = RandomnessTape(3)
+        sample = sample_dataset(three_term_dnf, 2048, tape)
+        flipped = LabeledDataset(10, sample.masks, 1 - sample.labels)
+        test = sample_dataset(three_term_dnf, 100, tape, key="test")
+        reports = [estimate_learnability(16, 32, ds, LabelOracle(three_term_dnf, ds), test,
+                                         GINI, tape)
+                   for ds in (flipped, flipped.unlabeled())]
+        assert reports[0] == reports[1]
+        assert reports[0].unique_labels > 0 and reports[0].error < 0.5
+
     def test_input_validation(self):
         target, tape, labeled, oracle = _setup(6)
         empty = LabeledDataset(12, np.zeros(0, np.uint64), np.zeros(0, np.uint8))

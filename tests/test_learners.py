@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from treelab.core import (LabeledDataset, LeafPools, Minibatch, RandomnessTape,
 from treelab.exhaustive import check_shallow_splits
 from treelab.impurity import (GINI, ImpurityFunction, depth_cap, depth_limit,
                               g_impurity)
-from treelab.learners import (GrowthState, LeafRecord, leaf_source,
+from treelab.learners import (GrowthState, LeafRecord, completion_label, leaf_source,
                               minibatch_top_down, score_leaf, top_down_full,
                               top_down_size_estimate)
 from treelab.targets import (Dictator, ReadOnceDNF, random_truth_table,
@@ -223,13 +225,13 @@ class TestLeafSource:
         record = leaf_source(ds, GINI, ds.n, None)
         for path in [*res.growth.splits, *res.growth.leaves]:
             rec = record(path)
-            # The earlier full-batch record, kept here as the reference.
-            pool = LeafPools(ds, ds.n)(path).indices
+            # The earlier full-batch record, kept here as the reference; its
+            # indices are those of a pool over the unlabeled view.
+            pool = LeafPools(ds.unlabeled(), ds.n)(path).indices
             old = Minibatch(path, pool, ds.masks[pool], ds.labels[pool])
             assert rec.batch.leaf_path == rec.path == path
-            for got, want in ((rec.batch.indices, old.indices),
-                              (rec.batch.masks, old.masks),
-                              (rec.batch.labels, old.labels)):
+            assert rec.batch.indices is None and rec.batch.size == old.size
+            for got, want in ((rec.batch.masks, old.masks), (rec.batch.labels, old.labels)):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             assert (rec.best_coord, rec.best_local_gain) == score_leaf(GINI, old, d)
 
@@ -246,9 +248,9 @@ class TestLeafSource:
         monkeypatch.setattr(treelab.learners, "draw_minibatch", kept)
         top_down_full(8, ds, GINI)
         root = batches[()]
-        assert np.shares_memory(root.masks, ds.masks)
-        assert np.shares_memory(root.labels, ds.labels)
-        assert root.indices.tolist() == list(range(ds.n))
+        assert root.masks is ds.masks and root.labels is ds.labels
+        assert root.indices is None and root.size == ds.n
+        assert draw(ds.unlabeled(), (), ds.n, None).indices.tolist() == list(range(ds.n))
 
     @pytest.mark.parametrize("learn", [
         lambda ds, tape: top_down_full(8, ds, GINI),
@@ -259,6 +261,38 @@ class TestLeafSource:
         ds = UnlabeledDataset(6, np.arange(64))
         with pytest.raises(ValueError, match="labeled dataset or a label oracle"):
             learn(ds, RandomnessTape(1))
+
+
+class TestFinishedLearnerDropsItsPools:
+    @pytest.mark.parametrize("learn", [
+        lambda ds, tape: top_down_full(8, ds, GINI),
+        lambda ds, tape: minibatch_top_down(8, 16, ds, GINI, tape),
+        lambda ds, tape: top_down_size_estimate(8, 16, ds, GINI, tape),
+    ], ids=["full", "minibatch", "size-estimate"])
+    def test_pools_collected_and_growth_kept(self, learn, monkeypatch):
+        made = []
+
+        class Watched(LeafPools):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(treelab.learners, "LeafPools", Watched)
+        rng = np.random.default_rng(5)
+        ds = LabeledDataset(8, rng.integers(0, 256, 3000, dtype=np.uint64),
+                            rng.integers(0, 2, 3000, dtype=np.uint8))
+        res = learn(ds, RandomnessTape(5))
+        assert len(made) == 1 and made[0]() is None
+        # The splits, the leaves' records and the frontier stay.
+        g = res.growth
+        assert g.splits == res.tree.splits and len(g.splits) == len(res.trace) > 0
+        assert set(g.leaves) == set(res.tree.labels)
+        for path, rec in g.leaves.items():
+            assert rec is None or (rec.path == path and
+                                   completion_label(rec.batch) == res.tree.labels[path])
+        assert g.frontier
+        for path, rec in g.frontier.items():
+            assert rec is g.leaves[path] and rec.splittable
 
 
 class TestFrontierHeap:

@@ -118,6 +118,22 @@ class TestLocalLearner:
             got = np.array([session.predict(int(m)) for m in xs])
             assert np.array_equal(got, want)
 
+    def test_oracle_labels_by_index_given_a_labeled_dataset(self, three_term_dnf):
+        # The dataset's own labels are flipped: each prediction must read
+        # the oracle's, by dataset index, as it does on the unlabeled view.
+        tape = RandomnessTape(3)
+        sample = sample_dataset(three_term_dnf, 2048, tape)
+        flipped = LabeledDataset(10, sample.masks, 1 - sample.labels)
+        xs = tape.uniform_masks(10, 20, "probe")
+        runs = []
+        for ds in (flipped, flipped.unlabeled()):
+            oracle = LabelOracle(three_term_dnf, ds)
+            preds = [local_learner(16, 32, ds, oracle, int(x), GINI, tape) for x in xs]
+            runs.append((preds, oracle.query_count, oracle.batches_drawn, oracle.phase_counts))
+        assert runs[0] == runs[1] and runs[0][1] > 0
+        glob = top_down_size_estimate(16, 32, sample, GINI, tape)
+        assert runs[0][0] == evaluate_masks(glob.tree, xs).tolist()
+
     def test_standalone_label_budget(self):
         # One fresh call stays within ((b+1) D + 1) b labels.
         t, b = 32, 64

@@ -85,18 +85,28 @@ def test_leaf_pools_and_scans_equal_the_uint64_ones(d, k, b, seed):
     top, low = d - 1, 0
     paths = [((top, 1),), ((top, 1), (low, -1)), ((top, 1), (low, 1)), ((top, -1),),
              ((top, -1), (d - 2, 1)), ((low, 1),), ((low, 1), (top, 1))]
-    narrow = LeafPools(LabeledDataset(d, masks, masks % 5 == 0), b)
+    labeled = LabeledDataset(d, masks, masks % 5 == 0)
+    narrow = LeafPools(labeled, b)
     wide = LeafPools(_wide(LabeledDataset(d, masks, masks % 5 == 0)), b)
+    # Pools over the unlabeled views hold indices, and masks up to b points.
+    narrow_view = LeafPools(UnlabeledDataset(d, masks), b)
+    wide_view = LeafPools(_wide(UnlabeledDataset(d, masks)), b)
     for path in paths:
         assert (consistent_indices(narrow.masks, path).tolist()
                 == consistent_indices(masks, path).tolist())
-        a, c = narrow(path), wide(path)
+        a, c = narrow_view(path), wide_view(path)
         assert a.indices.tolist() == c.indices.tolist()
         assert (a.masks is None) == (c.masks is None)
         if a.masks is not None:
             assert a.masks.dtype == mask_dtype(d)
             assert a.masks.tolist() == c.masks.tolist()
-            assert a.labels.tolist() == c.labels.tolist()
+        # Labeled pools are the rows at those indices, whatever their size.
+        rows, wide_rows = narrow(path), wide(path)
+        assert rows.indices is None and wide_rows.indices is None
+        assert rows.masks.dtype == mask_dtype(d)
+        assert rows.masks.tolist() == wide_rows.masks.tolist() == masks[a.indices].tolist()
+        assert (rows.labels.tolist() == wide_rows.labels.tolist()
+                == labeled.labels[a.indices].tolist())
 
 
 @given(st.sampled_from(DIMS), st.integers(0, 300), st.integers(0, 2 ** 32))
