@@ -999,8 +999,8 @@ class TestRunTrace:
     @pytest.mark.parametrize("text", ["0_5", "+0.5", ".5", "0.50", "\u0662.0", "x", "None"])
     @pytest.mark.parametrize("field", [4, 5])
     def test_floats_the_writer_never_spells_rejected(self, text, field):
-        # write_trace spells gain and e with repr(); float() also takes these,
-        # and 0_5 as 5.0.
+        # write_trace spells gain and e with repr().  float() takes the first
+        # five spellings too, reading 0_5 as 5.0.
         parts = "1 . 0 1 0.5 2.0".split()
         parts[field] = text
         line = " ".join(parts) + "\n"
