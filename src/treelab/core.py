@@ -394,7 +394,7 @@ def sample_points(d: int, n: int, tape: RandomnessTape, key: str = "train") -> U
 class Minibatch:
     """Up to b points consistent with a leaf, drawn without replacement: from
     a labeled dataset their rows (indices None), from an unlabeled one their
-    dataset indices and masks (labels None; see LeafPools for pools)."""
+    indices and masks (labels None); see LeafPools for pools and their validity."""
 
     leaf_path: LeafPath
     indices: Optional[np.ndarray]
@@ -420,14 +420,16 @@ def consistent_indices(masks: np.ndarray, path: LeafPath) -> np.ndarray:
 
 class LeafPools:
     """Leaf pools: per requested leaf, the Minibatch of every point reaching
-    it, in dataset order.  Over a labeled dataset it is their rows (masks and
-    labels, no indices); over an unlabeled one their indices (int32 when
-    n < 2^31, else int64), with their masks when at most b, else once the
-    first child's request gathers them for both.  A pool filters its kept
-    parent's, else scans the dataset, so a tree costs O(n*depth) scanned
-    points, not O(n*leaves); one of all its source's points shares its
-    arrays.  The root's pool is never kept; a parent's is dropped once both
-    children have theirs, and a leaf is kept only when first served."""
+    it, in dataset order.  Labeled: their rows (masks, labels), the root's
+    the dataset's own; its first split copies them to a buffer in which a
+    child of an intact (never split) segment is served by partitioning that
+    segment in place, a block at a time, stably and minus rows first, and
+    views its [lo, hi) part; other requests scan.  So a labeled pool holds
+    its rows until a child is requested.  Unlabeled: their indices (int32
+    when n < 2^31, else int64), with their masks when at most b, else once
+    the first child's request gathers them for both; a pool filters its kept
+    parent's, else scans, so a tree costs O(n*depth) scanned points.  Only a
+    served non-root leaf's pool is kept, until both children have theirs."""
 
     def __init__(self, dataset: AnyDataset, b: int):
         self.masks, self.labels, self.b = dataset.masks, getattr(dataset, "labels", None), b
@@ -435,32 +437,35 @@ class LeafPools:
         self._dtype = np.int32 if dataset.n < 1 << 31 else np.int64
         self._pools: dict = {}
         self._served: set = set()
+        self._rows, self._segments = None, {}
 
     def __call__(self, path: LeafPath) -> Minibatch:
         if not all(0 <= c < self.d for c, _ in path):
             raise ValueError(f"path {path} has a coordinate outside [0, {self.d})")
-        parent = self._pools.get(path[:-1])
         if self.labels is not None:
-            rows = self if parent is None else parent
-            at = consistent_indices(rows.masks, path)
-            masks, labels = rows.masks, rows.labels
-            if len(at) < len(masks):
-                masks, labels = masks[at], labels[at]
-            pool = Minibatch(path, None, masks, labels)
+            if not path:
+                self._segments.setdefault((), (0, len(self.masks)))
+                return Minibatch(path, None, self.masks, self.labels)
+            if self._segments.get(path[:-1]):
+                self._split(path[:-1], path[-1][0])
+            segment = self._segments.get(path)
+            masks, labels = self._rows if segment else (self.masks, self.labels)
+            at = slice(*segment) if segment else consistent_indices(self.masks, path)
+            return Minibatch(path, None, masks[at], labels[at])
+        parent = self._pools.get(path[:-1])
+        if parent is None:
+            at = consistent_indices(self.masks, path)
+            idx, masks = at.astype(self._dtype, copy=False), self.masks
         else:
-            if parent is None:
-                at = consistent_indices(self.masks, path)
-                idx, masks = at.astype(self._dtype, copy=False), self.masks
-            else:
-                if parent.masks is None:
-                    parent.masks = self.masks.take(parent.indices)
-                at = consistent_indices(parent.masks, path)
-                idx, masks = parent.indices[at], parent.masks
-            if len(idx) > self.b:
-                masks = None
-            elif len(at) < len(masks):
-                masks = masks[at]
-            pool = Minibatch(path, idx, masks)
+            if parent.masks is None:
+                parent.masks = self.masks.take(parent.indices)
+            at = consistent_indices(parent.masks, path)
+            idx, masks = parent.indices[at], parent.masks
+        if len(idx) > self.b:
+            masks = None
+        elif len(at) < len(masks):
+            masks = masks[at]
+        pool = Minibatch(path, idx, masks)
         if path and path not in self._served:
             self._served.add(path)
             self._pools[path] = pool
@@ -468,6 +473,22 @@ class LeafPools:
             if parent_path + ((coord, -sign),) in self._served:
                 self._pools.pop(parent_path, None)
         return pool
+
+    def _split(self, path: LeafPath, coord: int) -> None:
+        self._rows = rows = self._rows or (self.masks.copy(), self.labels.copy())
+        (lo, hi), self._segments[path] = self._segments[path], None
+        plus, at = [[a[:0]] for a in rows], lo
+        for start in range(lo, hi, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, hi)
+            up = (rows[0][start:stop] & 1 << coord) != 0
+            down, up = np.flatnonzero(~up), np.flatnonzero(up)
+            for a, kept in zip(rows, plus):
+                kept.append(a[start:stop].take(up))
+                a[at:at + len(down)] = a[start:stop].take(down)
+            at += len(down)
+        for a, kept in zip(rows, plus):
+            np.concatenate(kept, out=a[at:hi])
+        self._segments.update({path + ((coord, -1),): (lo, at), path + ((coord, 1),): (at, hi)})
 
 
 def _partial_shuffle_take(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
@@ -491,12 +512,13 @@ def draw_minibatch(
     pool: Optional[Minibatch] = None,
 ) -> Minibatch:
     """Uniform without-replacement draw of b consistent points: the leaf's
-    whole `pool` (see LeafPools; built by one scan if not given), sharing its
-    arrays, when it has at most b, else the first b positions of a
-    Fisher-Yates shuffle of it from the leaf's substream, as rows of a
-    labeled pool or indices of an unlabeled one, their masks then gathered.
-    A pure function of (dataset points, leaf_path, b, tape.master_seed,
-    domain), so a labeled dataset and its unlabeled view draw alike."""
+    whole `pool` (see LeafPools; one scan, with no row buffer, if not given),
+    sharing its arrays and so their validity, when it has at most b, else
+    the first b positions of a Fisher-Yates shuffle of it from the leaf's
+    substream, as rows of a labeled pool or indices of an unlabeled one,
+    their masks then gathered.  A pure function of (dataset points,
+    leaf_path, b, tape.master_seed, domain), so a labeled dataset and its
+    unlabeled view draw alike."""
     if b < 1:
         raise ValueError(f"batch size must be >= 1, got {b}")
     pool = LeafPools(dataset, b)(leaf_path) if pool is None else pool

@@ -151,7 +151,8 @@ class GrowthState:
 
     def complete(self) -> Tree:
         """The grown tree, each leaf labeled by its batch majority.  Growth ends:
-        the leaf source and its pools are dropped; splits, leaves and frontier stay."""
+        the leaf source and its pools go; splits, leaves and frontier stay (with b >= n,
+        as in top_down_full, so does the pools' row buffer, which the leaf batches tile)."""
         labels = {p: completion_label((rec or self.record(p)).batch)
                   for p, rec in self.leaves.items()}
         self.record = None
@@ -171,7 +172,8 @@ def leaf_source(dataset: AnyDataset, impurity: ImpurityFunction, b: int,
     """record(path) scoring each leaf on its path-keyed minibatch of size b
     (every consistent point when at most b are), labeled by the dataset's
     rows, or, when `oracle` is given, by it per dataset index, from pools
-    over the dataset's unlabeled view (see LeafPools)."""
+    over the dataset's unlabeled view (see LeafPools).  With b < n a labeled
+    batch copies its pool's rows, so no record keeps the pools' row buffer."""
     if oracle is None and not isinstance(dataset, LabeledDataset):
         raise ValueError("learner needs a labeled dataset or a label oracle")
     if oracle is not None and isinstance(dataset, LabeledDataset):
@@ -179,9 +181,11 @@ def leaf_source(dataset: AnyDataset, impurity: ImpurityFunction, b: int,
     pools = LeafPools(dataset, b)
 
     def record(path: LeafPath) -> LeafRecord:
-        batch = draw_minibatch(dataset, path, b, tape, pool=pools(path))
+        batch = draw_minibatch(dataset, path, b, tape, pool=(pool := pools(path)))
         if oracle is not None:
             batch.labels = oracle.labels_for(batch.indices)
+        elif batch.masks is pool.masks and b < dataset.n:
+            batch = Minibatch(path, None, pool.masks.copy(), pool.labels.copy())
         coord, gain = score_leaf(impurity, batch, dataset.d)
         return LeafRecord(path, batch, coord, gain)
 

@@ -273,8 +273,17 @@ class TestLeafPools:
             assert np.all(np.diff(pool.indices) > 0)
             assert pool.indices.dtype == np.int32
             _pinned_to_indices(rows, ds, pool.indices)
-            if len(pool.indices) == len(masks):
+            # The labeled root's pool is the dataset's arrays; any other
+            # labeled pool views the row buffer or is its own scan, never
+            # the dataset's arrays, which the pools do not write.
+            if not path:
                 assert rows.masks is ds.masks and rows.labels is ds.labels
+            else:
+                buffer = row_pools._rows or (None, None)
+                for got, kept, source in zip((rows.masks, rows.labels), buffer,
+                                             (ds.masks, ds.labels)):
+                    assert got.base is None or got.base is kept
+                    assert not np.shares_memory(got, source)
             if len(pool.indices) > b:
                 assert pool.masks is None and pool.labels is None
                 continue
@@ -317,27 +326,43 @@ class TestLeafPools:
         gathered = parent.masks
         assert gathered.tobytes() == ds.masks[parent.indices].tobytes()
         assert parent.labels is None
-        # A labeled pool is filtered from its parent's rows the same way.
+        # A labeled parent's segment is partitioned once, in place, for both
+        # children, with no scan; the children are its two halves.
         row_pools = LeafPools(ds, b)
+        row_pools(())
         row_parent = row_pools(parent_path)
         _pinned_to_indices(row_parent, ds, parent.indices)
-        row_pools(parent_path + ((3, -1),))
-        scanned = []
+        segment = row_parent.masks
+        scanned, splits, split = [], [], LeafPools._split
 
         def counted(masks, path):
             scanned.append(masks)
             return consistent_indices(masks, path)
 
+        def partitioned(pools, path, coord):
+            splits.append((path, coord))
+            return split(pools, path, coord)
+
         dropped = weakref.ref(parent), weakref.ref(row_parent)
-        row_masks = row_parent.masks
         del parent, row_parent
-        with mock.patch("treelab.core.consistent_indices", counted):
+        with (mock.patch("treelab.core.consistent_indices", counted),
+              mock.patch.object(LeafPools, "_split", partitioned)):
+            row_minus = row_pools(parent_path + ((3, -1),))
             plus = pools(parent_path + ((3, 1),))
             row_plus = row_pools(parent_path + ((3, 1),))
-        assert len(scanned) == 2 and scanned[0] is gathered and scanned[1] is row_masks
+        assert len(scanned) == 1 and scanned[0] is gathered
+        assert splits == [(parent_path, 3)]
         assert dropped[0]() is None and dropped[1]() is None
         assert plus.indices.tolist() == consistent_indices(ds.masks, plus.leaf_path).tolist()
         _pinned_to_indices(row_plus, ds, plus.indices)
+        minus = consistent_indices(ds.masks, row_minus.leaf_path)
+        _pinned_to_indices(row_minus, ds, minus)
+        assert row_minus.size + row_plus.size == len(segment)
+        for half, at in ((row_minus, 0), (row_plus, row_minus.size)):
+            assert half.masks.base is segment.base is row_pools._rows[0]
+            assert half.labels.base is row_pools._rows[1]
+            start = segment[at:].__array_interface__["data"]
+            assert half.masks.__array_interface__["data"] == start
 
     @pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3])
     def test_blocked_scan_equals_brute_force(self, n):
@@ -397,8 +422,9 @@ class TestLeafPools:
     @settings(max_examples=200, deadline=None)
     def test_draw_indices_equal_with_and_without_pool(self, case, b, seed):
         # Every draw's indices have the pools' dtype, and a draw given no
-        # pool scans the dataset once.  The indices are those of the draws
-        # on the unlabeled view, and a labeled draw takes those rows.
+        # pool scans the dataset once, except the labeled root's, which is
+        # the dataset's rows.  The indices are those of the draws on the
+        # unlabeled view, and a labeled draw takes those rows.
         masks, requests = case
         ds = LabeledDataset(6, masks, masks % np.uint64(3) == 0)
         view, tape = ds.unlabeled(), RandomnessTape(seed)
@@ -415,9 +441,10 @@ class TestLeafPools:
                 pool = pools(path)
                 with mock.patch("treelab.core.consistent_indices", counted):
                     draws.append(draw_minibatch(source, path, b, tape))
-                    assert scans == [path]
+                    once = [] if source is ds and not path else [path]
+                    assert scans == once
                     draws.append(draw_minibatch(source, path, b, tape, pool=pool))
-                    assert scans == [path]
+                    assert scans == once
                 scans.clear()
             scanned, pooled, rows_scanned, rows_pooled = draws
             assert scanned.indices.dtype == pooled.indices.dtype == np.int32
@@ -458,6 +485,59 @@ class TestLabeledDraw:
         assert set(indices.tolist()) <= set(reach)
         batch = draw_minibatch(ds, path, b, RandomnessTape(seed), pool=row_pool)
         _pinned_to_indices(batch, ds, indices)
+
+
+@st.composite
+def request_orders(draw):
+    """A labeled dataset of random d and n, a batch size, and leaf requests
+    mixing the learners' order (a child of a requested leaf) with re-requests
+    of split parents, deep paths asked first and second root coordinates."""
+    d, n = draw(st.integers(1, 6)), draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ds = LabeledDataset(d, rng.integers(0, 1 << d, n, dtype=np.uint64),
+                        rng.integers(0, 2, n, dtype=np.uint8))
+    requests = [()] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["child", "child", "child", "again", "any"]))
+        base = draw(st.sampled_from(requests or [()])) if kind != "any" else ()
+        free = [c for c in range(d) if c not in {c for c, _ in base}]
+        if kind == "again" or not free:
+            requests.append(base)
+        elif kind == "child":
+            requests.append(base + ((draw(st.sampled_from(free)), draw(st.sampled_from([-1, 1]))),))
+        else:
+            coords = draw(st.permutations(range(d)))[:draw(st.integers(1, min(d, 3)))]
+            requests.append(tuple((c, draw(st.sampled_from([-1, 1]))) for c in coords))
+    return ds, draw(st.integers(1, 64)), requests
+
+
+class TestRowBuffer:
+    @given(request_orders(), st.sampled_from([1, 3, 7, BLOCK_ROWS]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_labeled_pools_are_the_scanned_rows_in_any_request_order(self, case, block, seed):
+        # Each pool is the rows at the indices a scan of the unlabeled view
+        # finds, and keeps them until a child of its leaf is requested; the
+        # rows are copied into one buffer at most, and the dataset is never
+        # written.  Every draw from a pool equals the draw without one.
+        ds, b, requests = case
+        view, tape, before = ds.unlabeled(), RandomnessTape(seed), ds.masks.copy()
+        pools, live, buffer = LeafPools(ds, b), [], None
+        with mock.patch("treelab.core.BLOCK_ROWS", block):
+            for path in requests:
+                live = [kept for kept in live if kept[0] != path[:-1]]
+                pool = pools(path)
+                live.append((path, pool, consistent_indices(view.masks, path)))
+                for _, kept, indices in live:
+                    _pinned_to_indices(kept, ds, indices)
+                buffer = buffer or pools._rows
+                assert pools._rows is buffer
+                unpooled = draw_minibatch(ds, path, b, tape)
+                pooled = draw_minibatch(ds, path, b, tape, pool=pool)
+                assert pooled.masks.tobytes() == unpooled.masks.tobytes()
+                assert pooled.labels.tobytes() == unpooled.labels.tobytes()
+                _pinned_to_indices(unpooled, ds, draw_minibatch(view, path, b, tape).indices)
+        assert ds.masks.tobytes() == before.tobytes()
 
 
 def _rows16(k, labeled=True):

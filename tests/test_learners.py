@@ -295,6 +295,57 @@ class TestFinishedLearnerDropsItsPools:
             assert rec is g.leaves[path] and rec.splittable
 
 
+class TestLeafBatchesAndTheRowBuffer:
+    @staticmethod
+    def _watch_buffer(monkeypatch):
+        """Weak references to the row buffer of the next learner's pools."""
+        refs, split = [], LeafPools._split
+
+        def watched(pools, path, coord):
+            split(pools, path, coord)
+            refs[:] = refs or [weakref.ref(rows) for rows in pools._rows]
+
+        monkeypatch.setattr(LeafPools, "_split", watched)
+        return refs
+
+    @pytest.mark.parametrize("learn", [
+        lambda ds, tape: minibatch_top_down(64, 16, ds, GINI, tape),
+        lambda ds, tape: top_down_size_estimate(64, 16, ds, GINI, tape),
+    ], ids=["minibatch", "size-estimate"])
+    def test_minibatch_result_lets_the_buffer_go(self, learn, monkeypatch):
+        # With b < n a batch that is a whole pool is copied out of the
+        # buffer, so nothing in the result reaches it once the learner returns.
+        refs = self._watch_buffer(monkeypatch)
+        rng = np.random.default_rng(5)
+        ds = LabeledDataset(8, rng.integers(0, 256, 600, dtype=np.uint64),
+                            rng.integers(0, 2, 600, dtype=np.uint8))
+        res = learn(ds, RandomnessTape(5))
+        assert len(refs) == 2 and all(ref() is None for ref in refs)
+        sizes = [rec.batch.size for rec in res.growth.leaves.values() if rec is not None]
+        assert any(0 < size < 16 for size in sizes)
+
+    def test_full_batch_leaves_tile_the_buffer(self, monkeypatch):
+        # With b = n every leaf's batch is its segment of the one buffer, so
+        # the result keeps that buffer and no other copy of the rows.
+        refs = self._watch_buffer(monkeypatch)
+        rng = np.random.default_rng(6)
+        ds = LabeledDataset(6, rng.integers(0, 64, 3000, dtype=np.uint64),
+                            rng.integers(0, 2, 3000, dtype=np.uint8))
+        res = top_down_full(10 ** 6, ds, GINI)
+        masks, labels = (ref() for ref in refs)
+        assert masks is not None and masks is not ds.masks and len(res.growth.leaves) > 8
+        batches = [rec.batch for rec in res.growth.leaves.values()]
+        assert sum(batch.size for batch in batches) == ds.n
+        offsets = []
+        for batch in batches:
+            assert batch.masks.base is masks and batch.labels.base is labels
+            start = batch.masks.__array_interface__["data"][0]
+            offsets.append(((start - masks.__array_interface__["data"][0]) // masks.itemsize,
+                            batch.size))
+        ends = [0] + [start + size for start, size in sorted(offsets)]
+        assert [start for start, _ in sorted(offsets)] == ends[:-1] and ends[-1] == ds.n
+
+
 class TestFrontierHeap:
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([None, 0, 2, 4]),
            st.booleans(), st.booleans())

@@ -352,29 +352,43 @@ def test_session_scans_n_per_level(points_scanned, seed, t):
 @pytest.mark.parametrize("run", ["full", "minibatch", "size-estimate", "session"])
 def test_only_the_root_and_its_children_scan_the_dataset(monkeypatch, run):
     # Every deeper leaf's parent pool is still kept when the leaf is first
-    # requested, so its pool filters the parent's, never the dataset's.
+    # requested, so its pool filters the parent's, never the dataset's.  Over
+    # a labeled dataset nothing is scanned: the root's split reads the rows
+    # once, into one buffer, and every split partitions its own segment of it.
     target = random_truth_table(np.random.default_rng(5), 12)
     tape = RandomnessTape(5)
     labeled = sample_dataset(target, 4096, tape)
     ds = labeled.unlabeled() if run == "session" else labeled
-    scan, from_dataset = treelab.core.consistent_indices, set()
+    scan, from_dataset, scans = treelab.core.consistent_indices, set(), []
+    split, splits = treelab.core.LeafPools._split, []
 
     def watched(masks, path):
+        scans.append(path)
         if masks is ds.masks:
             from_dataset.add(path)
         return scan(masks, path)
 
+    def partitioned(pools, path, coord):
+        segment = pools._segments[path]
+        split(pools, path, coord)
+        splits.append((path, segment, pools._rows))
+
     monkeypatch.setattr(treelab.core, "consistent_indices", watched)
+    monkeypatch.setattr(treelab.core.LeafPools, "_split", partitioned)
     if run == "session":
         session = LocalLearnerSession(64, 32, ds, LabelOracle(target, ds), GINI, tape)
         for x in tape.uniform_masks(12, 20, "probe"):
             session.predict(int(x))
         assert session.global_size() > 32
-    else:
-        learn = {"full": lambda: top_down_full(64, ds, GINI),
-                 "minibatch": lambda: minibatch_top_down(64, 32, ds, GINI, tape),
-                 "size-estimate": lambda: top_down_size_estimate(64, 32, ds, GINI, tape),
-                 }[run]
-        assert learn().tree.size > 32
-    assert () in from_dataset and all(len(path) <= 1 for path in from_dataset)
-    assert any(len(path) == 1 for path in from_dataset)
+        assert () in from_dataset and all(len(path) <= 1 for path in from_dataset)
+        assert any(len(path) == 1 for path in from_dataset) and not splits
+        return
+    learn = {"full": lambda: top_down_full(64, ds, GINI),
+             "minibatch": lambda: minibatch_top_down(64, 32, ds, GINI, tape),
+             "size-estimate": lambda: top_down_size_estimate(64, 32, ds, GINI, tape),
+             }[run]
+    tree = learn().tree
+    assert tree.size > 32 and not scans
+    assert splits[0][:2] == ((), (0, ds.n)) and splits[0][2][0] is not ds.masks
+    assert all(buffer is splits[0][2] for _, _, buffer in splits)
+    assert sorted(path for path, _, _ in splits) == sorted(tree.splits)
