@@ -504,7 +504,8 @@ def request_orders(draw):
         if kind == "again" or not free:
             requests.append(base)
         elif kind == "child":
-            requests.append(base + ((draw(st.sampled_from(free)), draw(st.sampled_from([-1, 1]))),))
+            sign = draw(st.sampled_from([-1, 1]))
+            requests.append(base + ((draw(st.sampled_from(free)), sign),))
         else:
             coords = draw(st.permutations(range(d)))[:draw(st.integers(1, min(d, 3)))]
             requests.append(tuple((c, draw(st.sampled_from([-1, 1]))) for c in coords))
@@ -521,7 +522,8 @@ class TestRowBuffer:
         # rows are copied into one buffer at most, and the dataset is never
         # written.  Every draw from a pool equals the draw without one.
         ds, b, requests = case
-        view, tape, before = ds.unlabeled(), RandomnessTape(seed), ds.masks.copy()
+        view, tape = ds.unlabeled(), RandomnessTape(seed)
+        before = ds.masks.copy(), ds.labels.copy()
         pools, live, buffer = LeafPools(ds, b), [], None
         with mock.patch("treelab.core.BLOCK_ROWS", block):
             for path in requests:
@@ -537,7 +539,8 @@ class TestRowBuffer:
                 assert pooled.masks.tobytes() == unpooled.masks.tobytes()
                 assert pooled.labels.tobytes() == unpooled.labels.tobytes()
                 _pinned_to_indices(unpooled, ds, draw_minibatch(view, path, b, tape).indices)
-        assert ds.masks.tobytes() == before.tobytes()
+        assert ds.masks.tobytes() == before[0].tobytes()
+        assert ds.labels.tobytes() == before[1].tobytes()
 
 
 def _rows16(k, labeled=True):
