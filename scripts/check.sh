@@ -39,6 +39,15 @@ for workload in estimate train cli; do
     python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 0 > /dev/null
     python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 0 --trace 1 > /dev/null
 done
+# The paired comparison script, run on one pair of the committed tree against
+# itself, must print two lines, one per side, each with a passing run.
+pairs=$(sh scripts/bench_pairs.sh HEAD HEAD estimate 1 0)
+if [ "$(printf '%s\n' "$pairs" | wc -l)" -ne 2 ] ||
+   [ "$(printf '%s\n' "$pairs" | grep -c '"correct": true')" -ne 2 ]; then
+    echo "check.sh: scripts/bench_pairs.sh did not print two passing runs:" >&2
+    printf '%s\n' "$pairs" >&2
+    exit 1
+fi
 # The demo keeps its artifacts for inspection; here they go in a directory
 # removed on exit.
 DEMO_TMP=$(mktemp -d)

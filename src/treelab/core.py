@@ -537,7 +537,7 @@ def draw_minibatch(
 
 
 class LabelOracle:
-    """Meters label queries against an unlabeled dataset.
+    """Meters label queries against an unlabeled dataset of n points.
 
     Labels are produced by `target.eval_masks` and cached per dataset index:
     repeated queries for an index are free, so query_count equals the number
@@ -547,6 +547,7 @@ class LabelOracle:
     def __init__(self, target, dataset: UnlabeledDataset):
         if target.d != dataset.d:
             raise ValueError(f"target dimension {target.d} != dataset dimension {dataset.d}")
+        self.n = dataset.n
         self._labels = np.empty(dataset.n, np.uint8)
         for lo in range(0, dataset.n, BLOCK_ROWS):
             block = dataset.masks[lo:lo + BLOCK_ROWS]
@@ -562,7 +563,7 @@ class LabelOracle:
 
     def labels_for(self, indices: np.ndarray) -> np.ndarray:
         """Reveal (and count) labels for dataset indices, integers in [0, n)."""
-        indices, n = np.asarray(indices), len(self._labels)
+        indices, n = np.asarray(indices), self.n
         if len(indices) and (indices.dtype.kind not in "iu"
                              or not 0 <= indices.min() <= indices.max() < n):
             raise ValueError(f"label indices must be integers in [0, {n})")

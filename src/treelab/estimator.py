@@ -74,8 +74,11 @@ def estimate_error(session: LocalLearnerSession, test_set: LabeledDataset) -> Es
 
 def query_budget_report(oracle: LabelOracle, t: int, b: int, n_test: int) -> BudgetReport:
     """Measured label counts after an estimate run, checked against the
-    budget (b + n_test) * (D+1) * b + b for unique labels."""
-    bound = (b + n_test) * (depth_limit(t) + 1) * b + b
+    smallest budget for unique labels: the oracle's n; b(2^(D+2) - 1), as
+    every record fetched is a node of the one global tree at depth <= D+1;
+    and (b + n_test)(D+1)b + b, for D+1 records per strand and test point."""
+    D = depth_limit(t)
+    bound = min(oracle.n, b * ((1 << (D + 2)) - 1), (b + n_test) * (D + 1) * b + b)
     if oracle.query_count > bound:
         raise BudgetError(f"unique labels {oracle.query_count} exceed budget {bound}")
     return BudgetReport(

@@ -31,13 +31,13 @@ from .trees import Tree, tree_from_splits
 
 @dataclass
 class LeafRecord:
-    """Cached scoring state of one leaf: its fixed minibatch, the best
-    coordinate to split on, and that coordinate's estimated local gain.
-    best_coord is None when the leaf is unsplittable (empty or pure batch,
-    or no unused coordinate)."""
+    """Cached scoring state of one leaf, from its fixed minibatch: the
+    batch's completion label, the best coordinate to split on, and that
+    coordinate's estimated local gain.  best_coord is None when the leaf is
+    unsplittable (empty or pure batch, or no unused coordinate)."""
 
     path: LeafPath
-    batch: Minibatch
+    label: int
     best_coord: Optional[int]
     best_local_gain: float
 
@@ -150,12 +150,8 @@ class GrowthState:
         return size
 
     def complete(self) -> Tree:
-        """The grown tree, each leaf labeled by its batch majority.  Growth ends:
-        the leaf source and its pools go; splits, leaves and frontier stay (with b >= n,
-        as in top_down_full, so does the pools' row buffer, which the leaf batches tile)."""
-        labels = {p: completion_label((rec or self.record(p)).batch)
-                  for p, rec in self.leaves.items()}
-        self.record = None
+        """The grown tree, each leaf labeled by its record's batch majority."""
+        labels = {p: (rec or self.record(p)).label for p, rec in self.leaves.items()}
         return tree_from_splits(self.d, self.splits, labels)
 
 
@@ -163,7 +159,6 @@ class GrowthState:
 class TrainResult:
     tree: Tree
     trace: RunTrace
-    growth: GrowthState
     size_estimate: Optional[float] = None
 
 
@@ -172,8 +167,8 @@ def leaf_source(dataset: AnyDataset, impurity: ImpurityFunction, b: int,
     """record(path) scoring each leaf on its path-keyed minibatch of size b
     (every consistent point when at most b are), labeled by the dataset's
     rows, or, when `oracle` is given, by it per dataset index, from pools
-    over the dataset's unlabeled view (see LeafPools).  With b < n a labeled
-    batch copies its pool's rows, so no record keeps the pools' row buffer."""
+    over the dataset's unlabeled view (see LeafPools).  A record keeps no
+    batch, so the rows live only in the pools."""
     if oracle is None and not isinstance(dataset, LabeledDataset):
         raise ValueError("learner needs a labeled dataset or a label oracle")
     if oracle is not None and isinstance(dataset, LabeledDataset):
@@ -181,13 +176,11 @@ def leaf_source(dataset: AnyDataset, impurity: ImpurityFunction, b: int,
     pools = LeafPools(dataset, b)
 
     def record(path: LeafPath) -> LeafRecord:
-        batch = draw_minibatch(dataset, path, b, tape, pool=(pool := pools(path)))
+        batch = draw_minibatch(dataset, path, b, tape, pool=pools(path))
         if oracle is not None:
             batch.labels = oracle.labels_for(batch.indices)
-        elif batch.masks is pool.masks and b < dataset.n:
-            batch = Minibatch(path, None, pool.masks.copy(), pool.labels.copy())
         coord, gain = score_leaf(impurity, batch, dataset.d)
-        return LeafRecord(path, batch, coord, gain)
+        return LeafRecord(path, completion_label(batch), coord, gain)
 
     return record
 
@@ -202,7 +195,7 @@ def top_down_full(t: int, dataset: LabeledDataset,
         raise ValueError("full-batch learner needs a non-empty dataset")
     g = GrowthState(dataset.d, leaf_source(dataset, impurity, dataset.n, None), None)
     g.grow(t)
-    return TrainResult(g.complete(), g.trace, g)
+    return TrainResult(g.complete(), g.trace)
 
 
 def minibatch_top_down(t: int, b: int, dataset: LabeledDataset,
@@ -215,7 +208,7 @@ def minibatch_top_down(t: int, b: int, dataset: LabeledDataset,
     t = max(int(t), 1)
     g = GrowthState(dataset.d, leaf_source(dataset, impurity, b, tape), depth_limit(t))
     g.grow(t)
-    return TrainResult(g.complete(), g.trace, g)
+    return TrainResult(g.complete(), g.trace)
 
 
 def top_down_size_estimate(t: int, b: int, dataset: LabeledDataset,
@@ -227,4 +220,4 @@ def top_down_size_estimate(t: int, b: int, dataset: LabeledDataset,
     t = max(int(t), 1)
     g = GrowthState(dataset.d, leaf_source(dataset, impurity, b, tape), depth_limit(t))
     e = g.grow(t, StrandTracker(tape.uniform_masks(dataset.d, b, STRAND_DOMAIN)))
-    return TrainResult(g.complete(), g.trace, g, size_estimate=e)
+    return TrainResult(g.complete(), g.trace, size_estimate=e)

@@ -38,7 +38,7 @@ from .core import (STRAND_DOMAIN, LabelOracle, Point, RandomnessTape,
                    StrandTracker, UnlabeledDataset, as_masks, draw_minibatch,
                    sign_bit)
 from .impurity import ImpurityFunction, depth_limit
-from .learners import GrowthState, completion_label, leaf_source
+from .learners import GrowthState, leaf_source
 from .trees import Tree
 
 
@@ -121,7 +121,7 @@ class LocalLearnerSession:
             self.split_choices[leaf] = rec.best_coord
             leaf += ((rec.best_coord, sign_bit(x_mask, rec.best_coord)),)
         self.last_trace = trace + steps[j:]
-        return completion_label(self._record(leaf).batch)
+        return self._record(leaf).label
 
 
 def local_learner(t: int, b: int, dataset: UnlabeledDataset, oracle: LabelOracle,

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import treelab
-from treelab.core import LabeledDataset, RandomnessTape
+from treelab.core import STRAND_DOMAIN, LabeledDataset, RandomnessTape, StrandTracker
+from treelab.impurity import GINI, depth_limit
+from treelab.learners import GrowthState, leaf_source
 from treelab.targets import ReadOnceDNF, random_monotone_tree_target
 
 
@@ -27,6 +29,20 @@ def monotone_target(seed: int, d: int, n_leaves: int = 24, max_depth: int = 8):
     rng = np.random.default_rng(seed)
     return random_monotone_tree_target(rng, d=d, n_leaves=n_leaves,
                                        max_depth=max_depth)
+
+
+def grown_state(kind: str, t: int, b: int, ds, tape):
+    """(GrowthState, final size) of the learner `kind` ("full", "minibatch"
+    or "size-estimate") under GINI, grown the way the learner grows it; the
+    learners return only its tree and trace."""
+    if kind == "full":
+        g = GrowthState(ds.d, leaf_source(ds, GINI, ds.n, None), None)
+        return g, g.grow(t)
+    t = max(int(t), 1)
+    g = GrowthState(ds.d, leaf_source(ds, GINI, b, tape), depth_limit(t))
+    if kind == "minibatch":
+        return g, g.grow(t)
+    return g, g.grow(t, StrandTracker(tape.uniform_masks(ds.d, b, STRAND_DOMAIN)))
 
 
 @pytest.fixture

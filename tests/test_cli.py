@@ -128,9 +128,11 @@ class TestEstimate:
         assert str(payload["unique_labels"]) == fields["unique_labels"]
         assert str(payload["batches_drawn"]) == fields["batches"]
 
-    # Where t' comes from must not change a byte of either output.
+    # Where t' comes from must not change a byte of either output.  The
+    # bound is n = 2048, below b(2^(D+2) - 1) = 8160 and (b + 200)(D+1)b + b
+    # = 52000 at D = 6.
     MACHINE_LINE = "error=0.0 unique_labels=479 batches=25 t_prime=13\n"
-    BUDGET_JSON = ('{\n  "batches_drawn": 25,\n  "bound": 52000,\n  "phases": {\n'
+    BUDGET_JSON = ('{\n  "batches_drawn": 25,\n  "bound": 2048,\n  "phases": {\n'
                    '    "strand-forest": 366,\n    "test-points": 113\n  },\n'
                    '  "unique_labels": 479\n}\n')
 

@@ -147,10 +147,34 @@ class TestBudgetReport:
         estimate_learnability(32, 64, labeled.unlabeled(), oracle, test, GINI, tape)
         report = query_budget_report(oracle, t=32, b=64, n_test=50)
         assert report.unique_labels <= report.bound
-        assert report.bound == (64 + 50) * (depth_cap(32) + 1) * 64 + 64
+        D = depth_cap(32)
+        assert report.bound == min(oracle.n, 64 * (2 ** (D + 2) - 1),
+                                   (64 + 50) * (D + 1) * 64 + 64) == 4096
+
+    @pytest.mark.parametrize("n, t, b, n_test, bound", [
+        (4096, 32, 64, 50, 4096),
+        (10 ** 9, 32, 64, 50, 64 * (2 ** 9 - 1)),
+        (10 ** 9, 32, 8, 50, (8 + 50) * 8 * 8 + 8),
+        (10 ** 9, 1024, 4, 3000, 4 * (2 ** 15 - 1)),
+        (10 ** 9, 1024, 4, 3, (4 + 3) * 14 * 4 + 4),
+    ])
+    def test_bound_is_the_smallest_of_three(self, n, t, b, n_test, bound):
+        # n, b(2^(D+2) - 1) (D = 7 at t = 32, 13 at t = 1024) and
+        # (b + n_test)(D+1)b + b each bind somewhere.
+        class QuietOracle:
+            query_count = 0
+            batches_drawn = 0
+            phase_counts = {}
+
+        QuietOracle.n = n
+        assert query_budget_report(QuietOracle(), t=t, b=b, n_test=n_test).bound == bound
+        QuietOracle.query_count = bound + 1
+        with pytest.raises(BudgetError, match=f"exceed budget {bound}$"):
+            query_budget_report(QuietOracle(), t=t, b=b, n_test=n_test)
 
     def test_violation_raises(self):
         class FakeOracle:
+            n = 10 ** 9
             query_count = 10 ** 9
             batches_drawn = 0
             phase_counts = {}
@@ -159,11 +183,13 @@ class TestBudgetReport:
             query_budget_report(FakeOracle(), t=32, b=64, n_test=10)
 
     def test_single_test_point_budget_equals_one_local_call(self):
-        # (b + 1)(D+1) b + b is exactly the single-call bound ((b+1)(D+1)+1) b.
-        t, b = 32, 64
+        # (b + 1)(D+1) b + b is exactly the single-call bound ((b+1)(D+1)+1) b,
+        # the smallest of the three at t = 32, b = 8 on a large dataset.
+        t, b = 32, 8
         D = depth_cap(t)
 
         class QuietOracle:
+            n = 10 ** 6
             query_count = 0
             batches_drawn = 0
             phase_counts = {}

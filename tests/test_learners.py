@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treelab
-from conftest import full_truth_table_dataset, monotone_target
+from conftest import full_truth_table_dataset, grown_state, monotone_target
 from treelab.core import (LabeledDataset, LeafPools, Minibatch, RandomnessTape,
-                          UnlabeledDataset)
+                          UnlabeledDataset, draw_minibatch)
 from treelab.exhaustive import check_shallow_splits
 from treelab.impurity import (GINI, ImpurityFunction, depth_cap, depth_limit,
                               g_impurity)
@@ -126,10 +126,20 @@ class TestMiniBatchTopDown:
         target = monotone_target(5, d=10, n_leaves=20, max_depth=7)
         tape = RandomnessTape(2)
         ds = sample_dataset(target, 4096, tape)
-        res = minibatch_top_down(32, 64, ds, GINI, tape)
-        for rec in res.growth.frontier.values():
-            coord, gain = score_leaf(GINI, rec.batch, ds.d)
+        # The learner's growth, grown again, keeping every record it fetches:
+        # one per node, splits included.
+        source, fetched = leaf_source(ds, GINI, 64, tape), []
+        g = GrowthState(ds.d, lambda path: fetched.append(source(path)) or fetched[-1],
+                        depth_limit(32))
+        g.grow(32)
+        assert g.complete() == minibatch_top_down(32, 64, ds, GINI, tape).tree
+        assert len(fetched) == 2 * len(g.splits) + 1 > 1
+        for rec in fetched:
+            # The leaf's batch drawn afresh, by one scan and with no pools.
+            batch = draw_minibatch(ds, rec.path, 64, tape)
+            coord, gain = score_leaf(GINI, batch, ds.d)
             assert (coord, gain) == (rec.best_coord, rec.best_local_gain)
+            assert completion_label(batch) == rec.label
 
     def test_trace_passes_shallow_split_bound(self):
         for seed in range(5):
@@ -187,7 +197,8 @@ class TestArgmaxTieBreaking:
                     for batch in records:
                         coord, gain = score_leaf(g, batch, d)
                         if coord is not None:
-                            recs.append(LeafRecord(batch.leaf_path, batch, coord, gain))
+                            recs.append(LeafRecord(batch.leaf_path, completion_label(batch),
+                                                   coord, gain))
                     if not recs:
                         picks.append(None)
                         continue
@@ -207,7 +218,7 @@ class TestArgmaxTieBreaking:
         recs = []
         for batch in (right, left):
             coord, gain = score_leaf(GINI, batch, 3)
-            recs.append(LeafRecord(batch.leaf_path, batch, coord, gain))
+            recs.append(LeafRecord(batch.leaf_path, completion_label(batch), coord, gain))
         best = min(recs, key=lambda r: r.priority)
         assert best.path == ((2, -1),)
         assert best.best_coord == 0  # coords 0 and 1 tie... 0 is smaller
@@ -222,18 +233,28 @@ class TestLeafSource:
         ds = LabeledDataset(d, rng.integers(0, 1 << d, n, dtype=np.uint64),
                             rng.integers(0, 2, n, dtype=np.uint8))
         res = top_down_full(int(rng.integers(1, 16)), ds, GINI)
-        record = leaf_source(ds, GINI, ds.n, None)
-        for path in [*res.growth.splits, *res.growth.leaves]:
-            rec = record(path)
-            # The earlier full-batch record, kept here as the reference; its
-            # indices are those of a pool over the unlabeled view.
-            pool = LeafPools(ds.unlabeled(), ds.n)(path).indices
-            old = Minibatch(path, pool, ds.masks[pool], ds.labels[pool])
-            assert rec.batch.leaf_path == rec.path == path
-            assert rec.batch.indices is None and rec.batch.size == old.size
-            for got, want in ((rec.batch.masks, old.masks), (rec.batch.labels, old.labels)):
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-            assert (rec.best_coord, rec.best_local_gain) == score_leaf(GINI, old, d)
+        batches, draw = {}, treelab.learners.draw_minibatch
+
+        def kept(dataset, path, *args, **kwargs):
+            batches[path] = draw(dataset, path, *args, **kwargs)
+            return batches[path]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(treelab.learners, "draw_minibatch", kept)
+            record = leaf_source(ds, GINI, ds.n, None)
+            for path in [*res.tree.splits, *res.tree.labels]:
+                rec = record(path)
+                # The earlier full-batch record, kept here as the reference;
+                # its indices are those of a pool over the unlabeled view.
+                pool = LeafPools(ds.unlabeled(), ds.n)(path).indices
+                old = Minibatch(path, pool, ds.masks[pool], ds.labels[pool])
+                batch = batches[path]
+                assert batch.leaf_path == rec.path == path
+                assert batch.indices is None and batch.size == old.size
+                for got, want in ((batch.masks, old.masks), (batch.labels, old.labels)):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                assert rec.label == completion_label(old)
+                assert (rec.best_coord, rec.best_local_gain) == score_leaf(GINI, old, d)
 
     def test_full_batch_root_batch_is_the_dataset(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -263,13 +284,16 @@ class TestLeafSource:
             learn(ds, RandomnessTape(1))
 
 
+LEARNERS = {
+    "full": lambda t, b, ds, tape: top_down_full(t, ds, GINI),
+    "minibatch": lambda t, b, ds, tape: minibatch_top_down(t, b, ds, GINI, tape),
+    "size-estimate": lambda t, b, ds, tape: top_down_size_estimate(t, b, ds, GINI, tape),
+}
+
+
 class TestFinishedLearnerDropsItsPools:
-    @pytest.mark.parametrize("learn", [
-        lambda ds, tape: top_down_full(8, ds, GINI),
-        lambda ds, tape: minibatch_top_down(8, 16, ds, GINI, tape),
-        lambda ds, tape: top_down_size_estimate(8, 16, ds, GINI, tape),
-    ], ids=["full", "minibatch", "size-estimate"])
-    def test_pools_collected_and_growth_kept(self, learn, monkeypatch):
+    @pytest.mark.parametrize("kind", ["full", "minibatch", "size-estimate"])
+    def test_pools_collected_and_growth_kept(self, kind, monkeypatch):
         made = []
 
         class Watched(LeafPools):
@@ -281,69 +305,61 @@ class TestFinishedLearnerDropsItsPools:
         rng = np.random.default_rng(5)
         ds = LabeledDataset(8, rng.integers(0, 256, 3000, dtype=np.uint64),
                             rng.integers(0, 2, 3000, dtype=np.uint8))
-        res = learn(ds, RandomnessTape(5))
+        res = LEARNERS[kind](8, 16, ds, RandomnessTape(5))
         assert len(made) == 1 and made[0]() is None
-        # The splits, the leaves' records and the frontier stay.
-        g = res.growth
+        # The learner's growth, grown again: its splits, the leaves' records
+        # and the frontier.
+        g, _ = grown_state(kind, 8, 16, ds, RandomnessTape(5))
+        assert g.trace == res.trace
         assert g.splits == res.tree.splits and len(g.splits) == len(res.trace) > 0
         assert set(g.leaves) == set(res.tree.labels)
         for path, rec in g.leaves.items():
-            assert rec is None or (rec.path == path and
-                                   completion_label(rec.batch) == res.tree.labels[path])
+            assert rec is None or (rec.path == path and rec.label == res.tree.labels[path])
+        assert g.complete() == res.tree
         assert g.frontier
         for path, rec in g.frontier.items():
             assert rec is g.leaves[path] and rec.splittable
 
 
-class TestLeafBatchesAndTheRowBuffer:
-    @staticmethod
-    def _watch_buffer(monkeypatch):
-        """Weak references to the row buffer of the next learner's pools."""
-        refs, split = [], LeafPools._split
+class TestRecordsKeepNoRows:
+    @pytest.mark.parametrize("kind, t", [("minibatch", 64), ("size-estimate", 64),
+                                         ("full", 10 ** 6)],
+                             ids=["minibatch", "size-estimate", "full"])
+    def test_row_buffer_goes_with_the_learner(self, kind, t, monkeypatch):
+        # A record is its path, label and best split, so once the learner
+        # returns nothing reaches the pools' row buffer, even with every
+        # record kept: with b < n where a batch is its whole pool, and with
+        # b = n (top_down_full), where every batch is.
+        refs, split, records, sizes = [], LeafPools._split, [], []
 
         def watched(pools, path, coord):
             split(pools, path, coord)
             refs[:] = refs or [weakref.ref(rows) for rows in pools._rows]
 
-        monkeypatch.setattr(LeafPools, "_split", watched)
-        return refs
+        def kept(*fields):
+            records.append(LeafRecord(*fields))
+            return records[-1]
 
-    @pytest.mark.parametrize("learn", [
-        lambda ds, tape: minibatch_top_down(64, 16, ds, GINI, tape),
-        lambda ds, tape: top_down_size_estimate(64, 16, ds, GINI, tape),
-    ], ids=["minibatch", "size-estimate"])
-    def test_minibatch_result_lets_the_buffer_go(self, learn, monkeypatch):
-        # With b < n a batch that is a whole pool is copied out of the
-        # buffer, so nothing in the result reaches it once the learner returns.
-        refs = self._watch_buffer(monkeypatch)
+        def drawn(*args, **kwargs):
+            batch = draw(*args, **kwargs)
+            sizes.append(batch.size)
+            return batch
+
+        draw = treelab.learners.draw_minibatch
+        monkeypatch.setattr(LeafPools, "_split", watched)
+        monkeypatch.setattr(treelab.learners, "LeafRecord", kept)
+        monkeypatch.setattr(treelab.learners, "draw_minibatch", drawn)
         rng = np.random.default_rng(5)
         ds = LabeledDataset(8, rng.integers(0, 256, 600, dtype=np.uint64),
                             rng.integers(0, 2, 600, dtype=np.uint8))
-        res = learn(ds, RandomnessTape(5))
+        res = LEARNERS[kind](t, 16, ds, RandomnessTape(5))
         assert len(refs) == 2 and all(ref() is None for ref in refs)
-        sizes = [rec.batch.size for rec in res.growth.leaves.values() if rec is not None]
-        assert any(0 < size < 16 for size in sizes)
-
-    def test_full_batch_leaves_tile_the_buffer(self, monkeypatch):
-        # With b = n every leaf's batch is its segment of the one buffer, so
-        # the result keeps that buffer and no other copy of the rows.
-        refs = self._watch_buffer(monkeypatch)
-        rng = np.random.default_rng(6)
-        ds = LabeledDataset(6, rng.integers(0, 64, 3000, dtype=np.uint64),
-                            rng.integers(0, 2, 3000, dtype=np.uint8))
-        res = top_down_full(10 ** 6, ds, GINI)
-        masks, labels = (ref() for ref in refs)
-        assert masks is not None and masks is not ds.masks and len(res.growth.leaves) > 8
-        batches = [rec.batch for rec in res.growth.leaves.values()]
-        assert sum(batch.size for batch in batches) == ds.n
-        offsets = []
-        for batch in batches:
-            assert batch.masks.base is masks and batch.labels.base is labels
-            start = batch.masks.__array_interface__["data"][0]
-            offsets.append(((start - masks.__array_interface__["data"][0]) // masks.itemsize,
-                            batch.size))
-        ends = [0] + [start + size for start, size in sorted(offsets)]
-        assert [start for start, _ in sorted(offsets)] == ends[:-1] and ends[-1] == ds.n
+        assert any(0 < size < 16 for size in sizes) and len(records) > len(res.trace) > 8
+        for rec in records:
+            # No field is an array or holds one.
+            assert {type(value) for value in vars(rec).values()} <= {tuple, int, float, type(None)}
+            assert type(rec.label) is int and rec.label in (0, 1)
+            assert all(type(c) is int and s in (-1, 1) for c, s in rec.path)
 
 
 class TestFrontierHeap:
@@ -423,7 +439,8 @@ class TestTopDownSizeEstimate:
         strands = tape.uniform_masks(10, 64, "strands")
         final_partial_estimate = estimate_size(res.tree, strands)
         assert res.trace.entries[-1].size_estimate == final_partial_estimate
-        assert res.size_estimate >= 32 or len(res.growth.frontier) == 0
+        g, estimate = grown_state("size-estimate", 32, 64, ds, tape)
+        assert estimate == res.size_estimate and (estimate >= 32 or not g.frontier)
 
 
 class TestScanCost:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import treelab.core
 import treelab.learners
-from conftest import monotone_target
+from conftest import grown_state, monotone_target
 from treelab.core import (LabeledDataset, LabelOracle, Point, RandomnessTape,
                           path_constraint)
 from treelab.estimator import estimate_error
@@ -150,7 +150,7 @@ class TestLocalLearner:
         for m in tape.uniform_masks(12, 50, "probe"):
             session.predict(int(m))
         for path, coord in session.split_choices.items():
-            assert glob.growth.splits[path] == coord
+            assert glob.tree.splits[path] == coord
 
     def test_local_trace_is_strand_restriction_of_global(self):
         from treelab.core import point_reaches
@@ -283,7 +283,7 @@ class TestForestWalk:
                 step for step, (m, v), strand in zip(steps, masks, on_strand)
                 if strand or (x & m) == v]
             reached.update(path for path, _, _ in session.last_trace)
-        assert session.split_choices == {p: glob.growth.splits[p] for p in reached}
+        assert session.split_choices == {p: glob.tree.splits[p] for p in reached}
 
     def test_forest_grows_once_per_session(self, monkeypatch):
         grown = []
@@ -326,8 +326,8 @@ class TestGlobalSize:
         assert session.global_size() == glob.tree.size
         if before == "nothing":
             # Exactly the records the global run fetched.
-            fetched = len(glob.growth.splits) + sum(
-                rec is not None for rec in glob.growth.leaves.values())
+            g, _ = grown_state("size-estimate", t, b, labeled, tape)
+            fetched = len(g.splits) + sum(rec is not None for rec in g.leaves.values())
             assert oracle.batches_drawn == fetched
         # Every record is memoized, so asking again reveals nothing.
         counts = (oracle.query_count, oracle.batches_drawn)
