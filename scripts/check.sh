@@ -1,6 +1,7 @@
 #!/bin/sh
 # Run the library's test suite, the benchmark's own tests, one pass of each
-# benchmark workload, the smallest row of the scale curve, then the CLI demo.
+# benchmark workload, README's library example, the smallest row of the scale
+# curve, then the CLI demo.
 # The tests need two pytest invocations: tests/ and perfbench/tests/ each
 # have a conftest module that their tests import by name, so one run fails
 # collection.  Run from the repository root; extra arguments go to both
@@ -52,6 +53,14 @@ fi
 # removed on exit.
 DEMO_TMP=$(mktemp -d)
 trap 'rm -rf "$DEMO_TMP"' EXIT
+# README's ```python example runs as written, so the documented library API
+# cannot go stale.
+awk '/^```python$/ { on = 1; next } /^```$/ { on = 0 } on' README.md > "$DEMO_TMP/readme.py"
+if [ ! -s "$DEMO_TMP/readme.py" ]; then
+    echo "check.sh: README.md has no \`\`\`python example" >&2
+    exit 1
+fi
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 "$DEMO_TMP/readme.py" > /dev/null
 # The smallest row of the committed scale curve, which exits non-zero when the
 # estimator's error differs from the global tree's test error.  The committed
 # curve must have the script's columns, so it cannot go stale when one changes.

@@ -54,29 +54,22 @@ class LeafRecord:
         return (-self.purity_gain, self.path, self.best_coord)
 
 
-def score_leaf(impurity: ImpurityFunction, batch: Minibatch, d: int):
-    """(best coordinate, its estimated local gain) for a labeled batch, or
-    (None, 0.0) when the leaf is unsplittable.  Negative estimated gains are
-    legal winners; ties go to the smaller coordinate."""
-    if batch.size == 0 or batch.labels is None:
-        return None, 0.0
-    ones = int(batch.labels.sum())
-    if ones == 0 or ones == batch.size:
-        return None, 0.0
-    used = path_coords(batch.leaf_path)
-    avail = np.array([i for i in range(d) if i not in used], dtype=np.int64)
-    if len(avail) == 0:
-        return None, 0.0
-    gains = batch_local_gains(impurity, batch.masks, batch.labels, d)[avail]
-    k = int(np.argmax(gains))
-    return int(avail[k]), float(gains[k])
-
-
-def completion_label(batch: Minibatch) -> int:
-    """round(mean batch label), with round(1/2) = 1; empty batch -> 0."""
-    if batch.size == 0 or batch.labels is None:
-        return 0
-    return 1 if 2 * int(batch.labels.sum()) >= batch.size else 0
+def score_leaf(impurity: ImpurityFunction, batch: Minibatch, d: int) -> LeafRecord:
+    """The record of a labeled batch's leaf, from one sum of its labels: the
+    completion label round(mean label), with round(1/2) = 1 (0 when empty),
+    and the best coordinate with its estimated local gain, or (None, 0.0)
+    when the leaf is unsplittable.  Negative estimated gains are legal
+    winners; ties go to the smaller coordinate."""
+    path, ones = batch.leaf_path, int(batch.labels.sum())
+    label = 1 if batch.size and 2 * ones >= batch.size else 0
+    if 0 < ones < batch.size:
+        used = path_coords(path)
+        avail = np.array([i for i in range(d) if i not in used], dtype=np.int64)
+        if len(avail):
+            gains = batch_local_gains(impurity, batch.masks, batch.labels, d)[avail]
+            k = int(np.argmax(gains))
+            return LeafRecord(path, label, int(avail[k]), float(gains[k]))
+    return LeafRecord(path, label, None, 0.0)
 
 
 class GrowthState:
@@ -85,10 +78,9 @@ class GrowthState:
     within `depth_limit` (None: no cap) and `watch(path)` holds (None: every
     leaf).  `best` fetches each candidate's record once, after its spawn;
     leaves that are never candidates are never fetched.  `leaves` maps every
-    current leaf to its record (None until fetched); `frontier` holds the
-    splittable ones, and a heap holds their priorities, which are distinct
-    because each contains its path, so the heap's top is the frontier's
-    minimum.
+    current leaf to its record (None until fetched); `frontier` is a heap of
+    (priority, record) over the splittable ones, whose priorities are
+    distinct because each contains its path, so its top is the best.
     """
 
     def __init__(self, d: int, record: Callable[[LeafPath], LeafRecord],
@@ -99,10 +91,9 @@ class GrowthState:
         self.watch = watch
         self.splits: dict = {}
         self.leaves: dict = {(): None}
-        self.frontier: dict = {}
+        self.frontier: list = []
         self.trace = RunTrace(depth_cap=depth_limit)
         self._pending = [()]
-        self._heap: list = []
 
     @property
     def size(self) -> int:
@@ -115,17 +106,16 @@ class GrowthState:
                     and (self.watch is None or self.watch(path))):
                 rec = self.leaves[path] = self.record(path)
                 if rec.splittable:
-                    self.frontier[path] = rec
-                    heapq.heappush(self._heap, (rec.priority, path))
+                    heapq.heappush(self.frontier, (rec.priority, rec))
         self._pending.clear()
-        # Leaves split since they were pushed leave stale entries.
-        while self._heap and self._heap[0][1] not in self.frontier:
-            heapq.heappop(self._heap)
-        return self.frontier[self._heap[0][1]] if self._heap else None
+        return self.frontier[0][1] if self.frontier else None
 
     def apply(self, rec: LeafRecord) -> None:
+        """Split `rec`, which must be the candidate `best` returned."""
+        if self._pending or not self.frontier or self.frontier[0][1] is not rec:
+            raise ValueError("only the candidate best() returned can be split")
+        heapq.heappop(self.frontier)
         coord = rec.best_coord
-        del self.frontier[rec.path]
         del self.leaves[rec.path]
         self.splits[rec.path] = coord
         for sign in (-1, 1):
@@ -166,11 +156,13 @@ def leaf_source(dataset: AnyDataset, impurity: ImpurityFunction, b: int,
                 tape: Optional[RandomnessTape], oracle: Optional[LabelOracle] = None):
     """record(path) scoring each leaf on its path-keyed minibatch of size b
     (every consistent point when at most b are), labeled by the dataset's
-    rows, or, when `oracle` is given, by it per dataset index, from pools
+    rows, or by an `oracle` over its n points, per dataset index, from pools
     over the dataset's unlabeled view (see LeafPools).  A record keeps no
     batch, so the rows live only in the pools."""
     if oracle is None and not isinstance(dataset, LabeledDataset):
         raise ValueError("learner needs a labeled dataset or a label oracle")
+    if oracle is not None and oracle.n != dataset.n:
+        raise ValueError(f"label oracle over {oracle.n} points, dataset of {dataset.n}")
     if oracle is not None and isinstance(dataset, LabeledDataset):
         dataset = dataset.unlabeled()
     pools = LeafPools(dataset, b)
@@ -179,8 +171,7 @@ def leaf_source(dataset: AnyDataset, impurity: ImpurityFunction, b: int,
         batch = draw_minibatch(dataset, path, b, tape, pool=pools(path))
         if oracle is not None:
             batch.labels = oracle.labels_for(batch.indices)
-        coord, gain = score_leaf(impurity, batch, dataset.d)
-        return LeafRecord(path, completion_label(batch), coord, gain)
+        return score_leaf(impurity, batch, dataset.d)
 
     return record
 

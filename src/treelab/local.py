@@ -39,17 +39,13 @@ from .core import (STRAND_DOMAIN, LabelOracle, Point, RandomnessTape,
                    sign_bit)
 from .impurity import ImpurityFunction, depth_limit
 from .learners import GrowthState, leaf_source
-from .trees import Tree
+from .trees import Tree, route
 
 
 def estimate_size(tree: Tree, strand_points: Sequence) -> float:
-    """Mean of 2^{leaf depth} over the sample points (duplicates counted);
-    unbiased for the leaf count.  Accepts Points or packed masks.  The
-    tree's splits are replayed, parents first, through a StrandTracker."""
-    tracker = StrandTracker(as_masks(tree.d, strand_points))
-    for path, coord in tree.splits.items():
-        tracker.advance(path, coord)
-    return tracker.size_estimate()
+    """Mean of 2^{leaf depth} over the sample points (Points or packed masks,
+    duplicates counted, routed by trees.route); unbiased for the leaf count."""
+    return route(tree, strand_points).size_estimate()
 
 
 class LocalLearnerSession:
@@ -72,7 +68,6 @@ class LocalLearnerSession:
         self.strand_masks = tape.uniform_masks(dataset.d, b, STRAND_DOMAIN)
         self._record = functools.cache(leaf_source(dataset, impurity, b, tape, oracle))
         self._splits = None
-        self.split_choices: dict = {}
         self.last_trace: List[tuple] = []
 
     def _grow_forest(self) -> None:
@@ -86,7 +81,6 @@ class LocalLearnerSession:
         self._steps = [(e.path, e.coord, e.size_estimate) for e in g.trace]
         self._priorities = [self._record(e.path).priority for e in g.trace]
         self._strand_leaves = set(tracker.members)
-        self.split_choices.update(g.splits)
 
     def global_size(self) -> int:
         """Size t' of the global size-estimate learner's tree, grown from this
@@ -118,7 +112,6 @@ class LocalLearnerSession:
             if j == len(steps) and not self._exhausted:
                 break
             trace.append((leaf, rec.best_coord, steps[j - 1][2]))
-            self.split_choices[leaf] = rec.best_coord
             leaf += ((rec.best_coord, sign_bit(x_mask, rec.best_coord)),)
         self.last_trace = trace + steps[j:]
         return self._record(leaf).label

@@ -13,7 +13,8 @@ from typing import FrozenSet, Tuple
 
 import numpy as np
 
-from .core import LabeledDataset, RandomnessTape, as_labels, as_masks, mask_dtype, sample_points
+from .core import (LabeledDataset, RandomnessTape, _check_dim, as_labels, as_masks, mask_dtype,
+                   sample_points)
 from .impurity import _check_exhaustive
 from .trees import Tree, evaluate_masks, parse_tree, random_partial_tree, relabel
 
@@ -201,6 +202,7 @@ def sample_product_masks(bias: np.ndarray, n: int, tape: RandomnessTape,
     P[x_i = +1] = bias[i].  Used to build non-uniform test sets."""
     bias = np.asarray(bias, dtype=np.float64)
     d = len(bias)
+    _check_dim(d)
     rng = tape.substream("product-dist", key)
     dtype = mask_dtype(d)
     bits = (rng.random((n, d)) < bias).astype(dtype)

@@ -17,7 +17,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .core import LeafPath, Point, _check_dim, as_masks, parse_natural, path_coords, sign_bit
+from .core import (LeafPath, Point, StrandTracker, _check_dim, as_masks, parse_natural,
+                   path_coords, sign_bit)
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,7 @@ class Tree:
     labels: dict
 
     def __post_init__(self):
+        _check_dim(self.d)
         splits: dict = {}
         labels: dict = {}
 
@@ -95,24 +97,23 @@ def evaluate_tree(tree: Tree, x: Point) -> int:
     return label
 
 
+def route(tree: Tree, masks: np.ndarray) -> StrandTracker:
+    """A StrandTracker over packed points (taken through `as_masks`) that has
+    followed the tree's splits, parents first; `members` maps each reached leaf to its points."""
+    tracker = StrandTracker(as_masks(tree.d, masks))
+    for path, coord in tree.splits.items():
+        tracker.advance(path, coord)
+    return tracker
+
+
 def evaluate_masks(tree: Tree, masks: np.ndarray) -> np.ndarray:
-    """Vectorized evaluate_tree over packed points, taken through `as_masks`.
-    The tree must be complete."""
-    masks = as_masks(tree.d, masks)
+    """Vectorized evaluate_tree over packed points (see route); the tree must be complete."""
+    tracker = route(tree, masks)
     if not tree.is_complete():
         raise ValueError("tree has unlabeled leaves")
-    out = np.zeros(len(masks), dtype=np.uint8)
-
-    def rec(path: LeafPath, idx: np.ndarray):
-        if path not in tree.splits:
-            out[idx] = tree.labels[path]
-            return
-        c = tree.splits[path]
-        bit = (masks[idx] >> c) & 1
-        rec(path + ((c, -1),), idx[bit == 0])
-        rec(path + ((c, 1),), idx[bit == 1])
-
-    rec((), np.arange(len(masks)))
+    out = np.zeros(len(tracker.masks), dtype=np.uint8)
+    for leaf, idx in tracker.members.items():
+        out[idx] = tree.labels[leaf]
     return out
 
 

@@ -18,8 +18,8 @@ from treelab.exhaustive import (ConcentrationConfig, check_shallow_splits,
 from treelab.impurity import (ENTROPY, GINI, KEARNS_MANSOUR, ImpurityFunction,
                               builtin_impurities, depth_cap,
                               strand_count_for_accuracy)
-from treelab.learners import (LeafRecord, completion_label, minibatch_top_down,
-                              score_leaf, top_down_full, top_down_size_estimate)
+from treelab.learners import (minibatch_top_down, score_leaf, top_down_full,
+                              top_down_size_estimate)
 from treelab.local import LocalLearnerSession, estimate_size
 from treelab.targets import (Dictator, Majority, ReadOnceDNF, exact_error,
                              random_monotone_tree_target, random_truth_table,
@@ -271,12 +271,8 @@ def test_criterion_10_impurity_axioms_and_scaling():
                                   C=4.0, alpha=1.0, kappa=8.0)
         picks = []
         for g in (GINI, scaled):
-            recs = []
-            for batch in batches:
-                coord, gain = score_leaf(g, batch, d)
-                if coord is not None:
-                    recs.append(LeafRecord(batch.leaf_path, completion_label(batch),
-                                           coord, gain))
+            recs = [rec for rec in (score_leaf(g, batch, d) for batch in batches)
+                    if rec.splittable]
             picks.append(min(recs, key=lambda r: r.priority) if recs else None)
         same = (picks[0] is None and picks[1] is None) or (
             picks[0] is not None and picks[1] is not None

@@ -16,7 +16,8 @@ from treelab.estimator import (BudgetError, estimate_error, estimate_learnabilit
 from treelab.impurity import GINI, depth_cap
 from treelab.learners import top_down_size_estimate
 from treelab.local import LocalLearnerSession
-from treelab.targets import random_monotone_tree_target, sample_product_masks, sample_dataset
+from treelab.targets import (parse_target, random_monotone_tree_target, sample_dataset,
+                             sample_product_masks)
 from treelab.trees import evaluate_masks
 
 
@@ -126,6 +127,18 @@ class TestEstimateLearnability:
                    for ds in (flipped, flipped.unlabeled())]
         assert reports[0] == reports[1]
         assert reports[0].unique_labels > 0 and reports[0].error < 0.5
+
+    def test_oracle_over_another_dataset_rejected(self):
+        # An oracle over a larger dataset would label this dataset's indices
+        # with other points' labels.
+        target, tape = parse_target("dnf:1&2|3", 6), RandomnessTape(3)
+        small = sample_dataset(target, 400, tape).unlabeled()
+        large = sample_dataset(target, 4000, tape, key="other").unlabeled()
+        test = sample_dataset(target, 50, tape, key="test")
+        assert estimate_learnability(8, 16, small, LabelOracle(target, small), test,
+                                     GINI, tape).error == 0.0
+        with pytest.raises(ValueError, match="oracle over 4000 points, dataset of 400"):
+            estimate_learnability(8, 16, small, LabelOracle(target, large), test, GINI, tape)
 
     def test_input_validation(self):
         target, tape, labeled, oracle = _setup(6)

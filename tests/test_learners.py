@@ -12,9 +12,8 @@ from treelab.core import (LabeledDataset, LeafPools, Minibatch, RandomnessTape,
 from treelab.exhaustive import check_shallow_splits
 from treelab.impurity import (GINI, ImpurityFunction, depth_cap, depth_limit,
                               g_impurity)
-from treelab.learners import (GrowthState, LeafRecord, completion_label, leaf_source,
-                              minibatch_top_down, score_leaf, top_down_full,
-                              top_down_size_estimate)
+from treelab.learners import (GrowthState, LeafRecord, leaf_source, minibatch_top_down,
+                              score_leaf, top_down_full, top_down_size_estimate)
 from treelab.targets import (Dictator, ReadOnceDNF, random_truth_table,
                              sample_dataset)
 from treelab.trees import serialize_tree
@@ -137,9 +136,7 @@ class TestMiniBatchTopDown:
         for rec in fetched:
             # The leaf's batch drawn afresh, by one scan and with no pools.
             batch = draw_minibatch(ds, rec.path, 64, tape)
-            coord, gain = score_leaf(GINI, batch, ds.d)
-            assert (coord, gain) == (rec.best_coord, rec.best_local_gain)
-            assert completion_label(batch) == rec.label
+            assert score_leaf(GINI, batch, ds.d) == rec
 
     def test_trace_passes_shallow_split_bound(self):
         for seed in range(5):
@@ -193,12 +190,8 @@ class TestArgmaxTieBreaking:
                                           C=4.0, alpha=1.0, kappa=8.0)
                 picks = []
                 for g in (GINI, scaled):
-                    recs = []
-                    for batch in records:
-                        coord, gain = score_leaf(g, batch, d)
-                        if coord is not None:
-                            recs.append(LeafRecord(batch.leaf_path, completion_label(batch),
-                                                   coord, gain))
+                    recs = [rec for rec in (score_leaf(g, batch, d) for batch in records)
+                            if rec.splittable]
                     if not recs:
                         picks.append(None)
                         continue
@@ -215,10 +208,7 @@ class TestArgmaxTieBreaking:
         labels = np.array([0, 1, 0, 1], np.uint8)  # dictator on coord 0
         left = Minibatch(((2, -1),), np.arange(4), masks, labels)
         right = Minibatch(((2, 1),), np.arange(4), masks, labels)
-        recs = []
-        for batch in (right, left):
-            coord, gain = score_leaf(GINI, batch, 3)
-            recs.append(LeafRecord(batch.leaf_path, completion_label(batch), coord, gain))
+        recs = [score_leaf(GINI, batch, 3) for batch in (right, left)]
         best = min(recs, key=lambda r: r.priority)
         assert best.path == ((2, -1),)
         assert best.best_coord == 0  # coords 0 and 1 tie... 0 is smaller
@@ -253,8 +243,7 @@ class TestLeafSource:
                 assert batch.indices is None and batch.size == old.size
                 for got, want in ((batch.masks, old.masks), (batch.labels, old.labels)):
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-                assert rec.label == completion_label(old)
-                assert (rec.best_coord, rec.best_local_gain) == score_leaf(GINI, old, d)
+                assert score_leaf(GINI, old, d) == rec
 
     def test_full_batch_root_batch_is_the_dataset(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -317,8 +306,8 @@ class TestFinishedLearnerDropsItsPools:
             assert rec is None or (rec.path == path and rec.label == res.tree.labels[path])
         assert g.complete() == res.tree
         assert g.frontier
-        for path, rec in g.frontier.items():
-            assert rec is g.leaves[path] and rec.splittable
+        for priority, rec in g.frontier:
+            assert rec is g.leaves[rec.path] and rec.splittable and priority == rec.priority
 
 
 class TestRecordsKeepNoRows:
@@ -380,14 +369,29 @@ class TestFrontierHeap:
         order = []
         while True:
             rec = g.best()
+            # The reference: a linear minimum over the fetched records of
+            # the current leaves that can split.
+            candidates = [r for r in g.leaves.values() if r is not None and r.splittable]
+            assert len(g.frontier) == len(candidates)
             if rec is None:
-                assert not g.frontier
+                assert not candidates
                 break
-            # The earlier selection rule, kept here as the reference.
-            assert rec is min(g.frontier.values(), key=lambda r: r.priority)
+            assert rec is min(candidates, key=lambda r: r.priority)
             order.append(rec.path)
             g.apply(rec)
         assert len(order) == len(g.splits) == len(set(order))
+
+    def test_apply_rejects_all_but_the_best(self):
+        ds = full_truth_table_dataset(random_truth_table(np.random.default_rng(4), 5))
+        g = GrowthState(5, leaf_source(ds, GINI, ds.n, None), None)
+        root = g.best()
+        with pytest.raises(ValueError, match="only the candidate best"):
+            g.apply(score_leaf(GINI, draw_minibatch(ds, (), ds.n, None), 5))
+        g.apply(root)
+        # Its children are not scored yet, so the old top may not be split again.
+        with pytest.raises(ValueError, match="only the candidate best"):
+            g.apply(root)
+        assert g.best().path[:-1] == () and g.splits == {(): root.best_coord}
 
 
 class TestTraceDepthCap:

@@ -143,13 +143,16 @@ class TestLocalLearner:
             local_learner(t, b, labeled.unlabeled(), oracle, Point(12, seed), GINI, tape)
             assert oracle.query_count <= ((b + 1) * D + 1) * b
 
-    def test_split_choices_match_global_run(self):
+    def test_walked_splits_match_global_run(self):
         target, tape, labeled, oracle = _setup(1)
         glob = top_down_size_estimate(32, 64, labeled, GINI, tape)
         session = LocalLearnerSession(32, 64, labeled.unlabeled(), oracle, GINI, tape)
+        walked = set()
         for m in tape.uniform_masks(12, 50, "probe"):
             session.predict(int(m))
-        for path, coord in session.split_choices.items():
+            walked.update((path, coord) for path, coord, _ in session.last_trace)
+        assert walked
+        for path, coord in walked:
             assert glob.tree.splits[path] == coord
 
     def test_local_trace_is_strand_restriction_of_global(self):
@@ -275,15 +278,15 @@ class TestForestWalk:
         on_strand = [bool(np.any((session.strand_masks & np.uint64(m)) == np.uint64(v)))
                      for m, v in masks]
         xs = tape.uniform_masks(d, 20, "probe")
-        reached = set()
+        walked = set()
         for x, want in zip(xs, evaluate_masks(glob.tree, xs)):
             x = int(x)
             assert session.predict(x) == want
             assert session.last_trace == [
                 step for step, (m, v), strand in zip(steps, masks, on_strand)
                 if strand or (x & m) == v]
-            reached.update(path for path, _, _ in session.last_trace)
-        assert session.split_choices == {p: glob.tree.splits[p] for p in reached}
+            walked.update((path, coord) for path, coord, _ in session.last_trace)
+        assert walked == {(p, glob.tree.splits[p]) for p, _ in walked}
 
     def test_forest_grows_once_per_session(self, monkeypatch):
         grown = []
@@ -343,9 +346,11 @@ def test_session_scans_n_per_level(points_scanned, seed, t):
     tape = RandomnessTape(seed)
     ds = sample_dataset(target, 4096, tape).unlabeled()
     session = LocalLearnerSession(t, 64, ds, LabelOracle(target, ds), GINI, tape)
+    walked = set()
     for x in tape.uniform_masks(12, 50, "probe"):
         session.predict(int(x))
-    assert len(session.split_choices) > t // 2
+        walked.update((path, coord) for path, coord, _ in session.last_trace)
+    assert len(walked) > t // 2
     assert points_scanned[0] <= ds.n * (2 * depth_limit(t) + 3)
 
 

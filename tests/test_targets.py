@@ -118,6 +118,13 @@ class TestSampling:
         bits = RandomnessTape(3).substream("product-dist", "w").random((500, d)) < bias
         assert masks.tolist() == [sum(1 << i for i in range(d) if row[i]) for row in bits]
 
+    @pytest.mark.parametrize("d", [0, 70])
+    def test_product_masks_reject_a_dimension_outside_1_63(self, d):
+        # At d = 70 only coordinates 64..69 are ever +1, which no mask can hold.
+        bias = (np.arange(d) >= 64).astype(float)
+        with pytest.raises(ValueError, match="dimension must be in"):
+            sample_product_masks(bias, 10, RandomnessTape(3))
+
 
 class TestExactError:
     def test_tree_against_itself(self):

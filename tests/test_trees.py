@@ -76,6 +76,16 @@ class TestEvaluate:
         masks = np.arange(64, dtype=np.uint64)
         vec = evaluate_masks(tree, masks)
         assert all(vec[m] == evaluate_tree(tree, Point(6, m)) for m in range(64))
+        # Random multisets: no points, a few points each repeated, and so few
+        # points that most splits of a larger tree are reached by none.
+        rng = np.random.default_rng(seed)
+        sparse = random_labeled_tree(seed, d=12, n_leaves=64)
+        for t, xs in ((tree, np.zeros(0, np.uint64)),
+                      (tree, rng.choice(rng.integers(0, 64, 4), 40)),
+                      (sparse, rng.integers(0, 1 << 12, 3))):
+            vec = evaluate_masks(t, xs)
+            assert vec.dtype == np.uint8 and len(vec) == len(xs)
+            assert vec.tolist() == [evaluate_tree(t, Point(t.d, int(x))) for x in xs]
 
 
 class TestLeafOf:
@@ -135,6 +145,12 @@ class TestStructure:
     def test_coordinate_range_checked(self):
         with pytest.raises(ValueError, match="out of range for d=2"):
             tree_from_splits(2, {(): 5}, {((5, -1),): 0, ((5, 1),): 1})
+        # The dimension itself lies in [1, 63], as parse_tree requires.
+        for d in (0, 64, 100):
+            with pytest.raises(ValueError, match="dimension must be in"):
+                tree_from_splits(d, {}, {(): 1})
+        with pytest.raises(ValueError, match="dimension must be in"):
+            tree_from_splits(100, {(): 63}, {((63, -1),): 0, ((63, 1),): 1})
 
     def test_split_leaf_extends_path(self):
         tree = parse_tree("(split 1 (leaf 0) (leaf 1))", 3)
