@@ -69,7 +69,19 @@ if [ "$(head -n 1 "$DEMO_TMP/curve.tsv")" != "$(grep -v '^#' scripts/scale_curve
     echo "check.sh: scripts/scale_curve.tsv does not have scripts/scale_curve.py's columns" >&2
     exit 1
 fi
-TMPDIR=$DEMO_TMP sh scripts/demo.sh
+TMPDIR=$DEMO_TMP sh scripts/demo.sh > "$DEMO_TMP/demo.out"
+cat "$DEMO_TMP/demo.out"
+# The demo's stdout (saved as `stdout`, its artifact directory's path read as
+# <OUT>) and every file it writes hash to scripts/demo.sha256, and it writes no
+# other file.  An intended output change updates that file in the same commit.
+OUT=$(sed -n '1s/^== artifacts in //p' "$DEMO_TMP/demo.out")
+sed "s|$OUT|<OUT>|g" "$DEMO_TMP/demo.out" > "$OUT/stdout"
+if ! (cd "$OUT" && sha256sum -c --quiet) < scripts/demo.sha256 ||
+   [ "$(cd "$OUT" && LC_ALL=C ls)" != "$(awk '{ print $2 }' scripts/demo.sha256 | LC_ALL=C sort)" ]; then
+    echo "check.sh: the demo's output differs from scripts/demo.sha256 (see above)," \
+         "or it writes another set of files: $(cd "$OUT" && ls | tr '\n' ' ')" >&2
+    exit 1
+fi
 # Each tree the demo trains (d = 10) reads back through parse_tree and is
 # written again byte for byte, as `train --out-tree` writes it.
 for tree in "$DEMO_TMP"/*/full.tree "$DEMO_TMP"/*/mb.tree "$DEMO_TMP"/*/se.tree; do

@@ -5,7 +5,7 @@ set -- all sharing deterministic keyed randomness so the local and global
 algorithms agree exactly."""
 
 from .core import (LabeledDataset, LabelOracle, Minibatch, Point, RandomnessTape,
-                   RunTrace, UnlabeledDataset, draw_minibatch, read_dataset,
+                   TraceEntry, UnlabeledDataset, draw_minibatch, read_dataset,
                    write_dataset)
 from .estimator import estimate_learnability, query_budget_report
 from .impurity import (ImpurityFunction, TheoryParams, builtin_impurities,
@@ -19,7 +19,7 @@ from .trees import (Tree, evaluate_tree, leaf_of, parse_tree, serialize_tree)
 
 __all__ = [
     "LabeledDataset", "LabelOracle", "Minibatch", "Point", "RandomnessTape",
-    "RunTrace", "UnlabeledDataset", "draw_minibatch", "read_dataset",
+    "TraceEntry", "UnlabeledDataset", "draw_minibatch", "read_dataset",
     "write_dataset", "estimate_learnability", "query_budget_report",
     "ImpurityFunction", "TheoryParams", "builtin_impurities", "depth_cap",
     "get_impurity", "local_gain", "purity_gain", "recommended_params",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
-from typing import IO, Iterator, Optional, Sequence, Union
+from typing import IO, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -442,6 +442,8 @@ class LeafPools:
     def __call__(self, path: LeafPath) -> Minibatch:
         if not all(0 <= c < self.d for c, _ in path):
             raise ValueError(f"path {path} has a coordinate outside [0, {self.d})")
+        if len({c for c, _ in path}) < len(path) or not all(s in (-1, 1) for _, s in path):
+            raise ValueError(f"path {path} repeats a coordinate or has a sign outside {{-1, 1}}")
         if self.labels is not None:
             if not path:
                 self._segments.setdefault((), (0, len(self.masks)))
@@ -585,52 +587,28 @@ class LabelOracle:
 
 @dataclass(frozen=True)
 class TraceEntry:
-    j: int                 # 1-based iteration index
+    """One split of a run; a trace is the run's list of them, entry j at position j - 1."""
+
     path: LeafPath         # the leaf that was split
-    depth: int             # len(path)
     coord: int             # 0-based split coordinate
     gain: float            # estimated purity gain of the chosen split
     size_estimate: float   # running size estimate (exact size for capped/full runs)
 
-
-@dataclass
-class RunTrace:
-    """Ordered record of every split a learner performed."""
-
-    entries: list = field(default_factory=list)
-    depth_cap: Optional[int] = None
-
-    def append(self, path: LeafPath, coord: int, gain: float, size_estimate: float) -> None:
-        self.entries.append(
-            TraceEntry(len(self.entries) + 1, path, len(path), coord, gain, size_estimate)
-        )
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[TraceEntry]:
-        return iter(self.entries)
-
-    def validate(self) -> None:
-        for k, e in enumerate(self.entries, start=1):
-            if e.j != k:
-                raise ValueError(f"iteration indices must be 1..n, got {e.j} at {k}")
-            if e.depth != len(e.path):
-                raise ValueError(f"entry {k}: depth {e.depth} != path length")
-            if self.depth_cap is not None and e.depth > self.depth_cap:
-                raise ValueError(f"entry {k}: split depth {e.depth} exceeds cap {self.depth_cap}")
+    @property
+    def depth(self) -> int:
+        return len(self.path)
 
 
-def write_trace(trace: RunTrace, fp: IO[str]) -> None:
+def write_trace(trace: List[TraceEntry], fp: IO[str]) -> None:
     """Line format: 'j leaf_path depth coord gain e' (coord 1-based)."""
-    for e in trace:
-        fp.write(f"{e.j} {encode_path(e.path)} {e.depth} {e.coord + 1} "
+    for j, e in enumerate(trace, start=1):
+        fp.write(f"{j} {encode_path(e.path)} {e.depth} {e.coord + 1} "
                  f"{e.gain!r} {e.size_estimate!r}\n")
 
 
-def read_trace(fp: IO[str]) -> RunTrace:
+def read_trace(fp: IO[str]) -> List[TraceEntry]:
     """What write_trace wrote, each number read only in the spelling it writes."""
-    trace = RunTrace()
+    trace = []
     for line in fp:
         parts = line.split()
         if not parts:
@@ -645,13 +623,13 @@ def read_trace(fp: IO[str]) -> RunTrace:
                 raise ValueError
         except ValueError:
             raise ValueError(f"malformed float in trace line: {line!r}") from None
-        entry = TraceEntry(j, path, depth, coord - 1, gain, e)
-        if entry.depth != len(path):
+        if depth != len(path):
             raise ValueError(f"trace line {j}: depth field disagrees with path")
         if coord < 1:
             raise ValueError(f"trace line {j}: coordinate {coord} is below 1")
-        trace.entries.append(entry)
-    trace.validate()
+        if j != len(trace) + 1:
+            raise ValueError(f"iteration indices must be 1..n, got {j} at {len(trace) + 1}")
+        trace.append(TraceEntry(path, coord - 1, gain, e))
     return trace
 
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
-from .core import (LeafPath, Minibatch, Point, RandomnessTape, RunTrace,
-                   draw_minibatch)
+from .core import LeafPath, Minibatch, Point, RandomnessTape, TraceEntry, draw_minibatch
 from .impurity import (ImpurityFunction, g_impurity, local_gain, true_local_gain,
                        true_purity_gain)
 from .targets import TargetFunction, sample_dataset
@@ -82,7 +81,7 @@ def check_telescoping(impurity: ImpurityFunction, target: TargetFunction,
     return abs(after - (before - gain)) <= EXACT_TOL
 
 
-def check_shallow_splits(trace: RunTrace) -> bool:
+def check_shallow_splits(trace: List[TraceEntry]) -> bool:
     """For every power-of-two prefix k of the trace, at most k/4 of the first
     k splits may be shallower than log2(j) - 2."""
     depths = [e.depth for e in trace]

@@ -18,13 +18,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from .core import (STRAND_DOMAIN, AnyDataset, LabeledDataset, LabelOracle,
-                   LeafPath, LeafPools, Minibatch, RandomnessTape, RunTrace,
-                   StrandTracker, draw_minibatch, path_coords)
+                   LeafPath, LeafPools, Minibatch, RandomnessTape, StrandTracker,
+                   TraceEntry, draw_minibatch, path_coords)
 from .impurity import ImpurityFunction, batch_local_gains, depth_limit
 from .trees import Tree, tree_from_splits
 
@@ -92,7 +92,7 @@ class GrowthState:
         self.splits: dict = {}
         self.leaves: dict = {(): None}
         self.frontier: list = []
-        self.trace = RunTrace(depth_cap=depth_limit)
+        self.trace: List[TraceEntry] = []
         self._pending = [()]
 
     @property
@@ -136,7 +136,7 @@ class GrowthState:
                 tracker.advance(rec.path, rec.best_coord)
             self.apply(rec)
             size = float(self.size) if tracker is None else tracker.size_estimate()
-            self.trace.append(rec.path, rec.best_coord, rec.purity_gain, size)
+            self.trace.append(TraceEntry(rec.path, rec.best_coord, rec.purity_gain, size))
         return size
 
     def complete(self) -> Tree:
@@ -148,7 +148,7 @@ class GrowthState:
 @dataclass
 class TrainResult:
     tree: Tree
-    trace: RunTrace
+    trace: List[TraceEntry]
     size_estimate: Optional[float] = None
 
 

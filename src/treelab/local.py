@@ -4,9 +4,9 @@ would-be tree and labeling polylogarithmically many training points.
 
 A session runs the global engine, GrowthState.grow, once, with the same
 depth limit, strands and stopping rule, watching only leaves a strand point
-reaches: the strand forest.  It records each step's split, the priority of
-the chosen record and the running size estimate e, and whether growth
-stopped at e >= t or ran out of candidates.  Each query x then walks it:
+reaches: the strand forest.  It keeps that run's trace, each step's
+priority, and whether growth stopped at e >= t (e the running size
+estimate) or ran out of candidates.  Each query x then walks it:
 
 - x follows the forest's splits from the root.  If it ends on a
   strand-reached leaf, that leaf is x's leaf in the global tree.
@@ -20,7 +20,8 @@ This is exact.  The forest does not depend on x.  Splitting an off-strand
 leaf moves no strand point, so e does not change and the run continues.
 Records are fixed by path, so the unwatched splits of the global run change
 no watched priority, and x's splits change no strand leaf.  The walk's
-splits are thus the global splits of leaves x reaches, in order.
+trace, `last_trace`, is thus the global trace restricted to the leaves a
+strand point or x reaches, entry for entry.
 
 Records are fetched lazily: a leaf's labels are revealed only once it is a
 split candidate (strand-reached or x's leaf, within the depth limit), and
@@ -35,8 +36,8 @@ from typing import List, Sequence, Union
 
 # draw_minibatch is unused here, but perfbench/tests/test_bench.py checks its rebinding.
 from .core import (STRAND_DOMAIN, LabelOracle, Point, RandomnessTape,
-                   StrandTracker, UnlabeledDataset, as_masks, draw_minibatch,
-                   sign_bit)
+                   StrandTracker, TraceEntry, UnlabeledDataset, as_masks,
+                   draw_minibatch, sign_bit)
 from .impurity import ImpurityFunction, depth_limit
 from .learners import GrowthState, leaf_source
 from .trees import Tree, route
@@ -68,7 +69,7 @@ class LocalLearnerSession:
         self.strand_masks = tape.uniform_masks(dataset.d, b, STRAND_DOMAIN)
         self._record = functools.cache(leaf_source(dataset, impurity, b, tape, oracle))
         self._splits = None
-        self.last_trace: List[tuple] = []
+        self.last_trace: List[TraceEntry] = []
 
     def _grow_forest(self) -> None:
         # Built here, not by g, so that `watch` holds no reference to g.
@@ -77,8 +78,8 @@ class LocalLearnerSession:
                         lambda path: path in tracker.members)
         self._exhausted = g.grow(self.t, tracker) < self.t
         # Keep only what the walk reads; g's leaf and frontier maps are dropped.
-        self._splits = {e.path: (e.coord, e.j) for e in g.trace}
-        self._steps = [(e.path, e.coord, e.size_estimate) for e in g.trace]
+        self._steps = g.trace
+        self._splits = {e.path: (e.coord, j) for j, e in enumerate(g.trace, start=1)}
         self._priorities = [self._record(e.path).priority for e in g.trace]
         self._strand_leaves = set(tracker.members)
 
@@ -111,7 +112,8 @@ class LocalLearnerSession:
                 j += 1
             if j == len(steps) and not self._exhausted:
                 break
-            trace.append((leaf, rec.best_coord, steps[j - 1][2]))
+            trace.append(TraceEntry(leaf, rec.best_coord, rec.purity_gain,
+                                    steps[j - 1].size_estimate))
             leaf += ((rec.best_coord, sign_bit(x_mask, rec.best_coord)),)
         self.last_trace = trace + steps[j:]
         return self._record(leaf).label

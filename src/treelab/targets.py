@@ -213,11 +213,12 @@ def sample_product_masks(bias: np.ndarray, n: int, tape: RandomnessTape,
 # Random targets
 # ---------------------------------------------------------------------------
 
+MIN_BALANCE = 0.125
+MAX_TRIES = 200
+
 
 def random_monotone_tree_target(rng: np.random.Generator, d: int,
-                                n_leaves: int = 8, max_depth: int = 4,
-                                min_balance: float = 0.125,
-                                max_tries: int = 200) -> ExplicitTree:
+                                n_leaves: int = 8, max_depth: int = 4) -> ExplicitTree:
     """Random explicit-tree target that is monotone by construction rule and
     verified exhaustively.
 
@@ -225,12 +226,12 @@ def random_monotone_tree_target(rng: np.random.Generator, d: int,
     +1, for a per-tree random threshold theta.  That rule can still produce a
     non-monotone function on lopsided shapes, so candidates failing the
     exhaustive monotonicity check are rejected and regrown.  Candidates with
-    mean value within min_balance of constant are rejected too, so learner
+    mean value within MIN_BALANCE of constant are rejected too, so learner
     tests do not degenerate into single-leaf runs.
     """
     _check_exhaustive(d)
     masks = np.arange(1 << d, dtype=mask_dtype(d))
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         skeleton = random_partial_tree(rng, d, n_leaves, max_depth)
         theta = int(rng.integers(1, max_depth + 1))
         labeled = relabel(
@@ -239,11 +240,11 @@ def random_monotone_tree_target(rng: np.random.Generator, d: int,
         )
         candidate = ExplicitTree(labeled)
         mean = float(candidate.eval_masks(masks).mean())
-        if min(mean, 1.0 - mean) < min_balance:
+        if min(mean, 1.0 - mean) < MIN_BALANCE:
             continue
         if is_monotone(candidate):
             return candidate
-    raise RuntimeError(f"no monotone tree target found in {max_tries} tries")
+    raise RuntimeError(f"no monotone tree target found in {MAX_TRIES} tries")
 
 
 def random_truth_table(rng: np.random.Generator, d: int) -> TruthTable:

@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treelab.core import (BLOCK_CHARS, BLOCK_ROWS, BLOCK_TOKENS, MAX_DIM, LabeledDataset,
-                          LabelOracle, LeafPools, Point, RandomnessTape, RunTrace,
-                          StrandTracker, UnlabeledDataset, _parse_row, _partial_shuffle_take,
+                          LabelOracle, LeafPools, Point, RandomnessTape, StrandTracker,
+                          TraceEntry, UnlabeledDataset, _parse_row, _partial_shuffle_take,
                           consistent_indices, draw_minibatch, encode_path, mask_dtype,
                           parse_path, path_constraint, point_reaches,
                           read_dataset, read_trace, sign_bit,
                           write_dataset, write_trace)
-from treelab.targets import Dictator, Majority, ReadOnceDNF
+from treelab.targets import Dictator, Majority, ReadOnceDNF, sample_dataset
 
 
 def paths(max_d=8):
@@ -403,6 +403,20 @@ class TestLeafPools:
             with pytest.raises(ValueError, match=rf"outside \[0, {d}\)"):
                 pools(path)
         assert draw_minibatch(ds, ((d - 1, -1),), 8, tape).size == 8
+
+    @pytest.mark.parametrize("path", [((0, 1), (0, -1)), ((1, -1), (0, 1), (1, -1)),
+                                      ((0, 0),), ((2, 1), (0, 5))])
+    def test_path_no_point_can_reach_rejected(self, path):
+        # No point reaches these leaves, so each request is an error, not a
+        # pool of the points that satisfy part of the path.
+        tape = RandomnessTape(1)
+        ds = sample_dataset(ReadOnceDNF(4, (frozenset({0}), frozenset({1, 2}))), 64, tape)
+        for view in (ds, ds.unlabeled()):
+            pools = LeafPools(view, 8)
+            pools(((0, 1),))
+            for request in (lambda: draw_minibatch(view, path, 8, tape), lambda: pools(path)):
+                with pytest.raises(ValueError, match="repeats a coordinate or has a sign"):
+                    request()
 
     def test_draw_from_pool_equals_draw_from_scan(self, tape):
         ds = _dataset(n=500)
@@ -1034,19 +1048,16 @@ class TestLabelOracle:
 
 class TestRunTrace:
     def _trace(self):
-        tr = RunTrace(depth_cap=4)
-        tr.append((), 3, 0.5, 2.0)
-        tr.append(((3, -1),), 1, 0.25, 3.0)
-        return tr
+        return [TraceEntry((), 3, 0.5, 2.0), TraceEntry(((3, -1),), 1, 0.25, 3.0)]
 
     def test_roundtrip(self):
         tr = self._trace()
         buf = io.StringIO()
         write_trace(tr, buf)
+        assert buf.getvalue() == "1 . 0 4 0.5 2.0\n2 4- 1 2 0.25 3.0\n"
         buf.seek(0)
         back = read_trace(buf)
-        assert [(e.j, e.path, e.coord, e.gain, e.size_estimate) for e in back] \
-            == [(e.j, e.path, e.coord, e.gain, e.size_estimate) for e in tr]
+        assert back == tr and [e.depth for e in back] == [0, 1]
 
     @pytest.mark.parametrize("line", ["1 . 0 0 0.5 2.0\n", "1 . 0 -3 0.5 2.0\n",
                                       "1 0+ 1 2 0.5 2.0\n"])
@@ -1059,7 +1070,7 @@ class TestRunTrace:
         write_trace(self._trace(), buf)
         lines = buf.getvalue().splitlines(keepends=True)
         back = read_trace(io.StringIO("\n" + lines[0] + "  \n\n" + lines[1] + "\n"))
-        assert [(e.j, e.path, e.coord) for e in back] == [(1, (), 3), (2, ((3, -1),), 1)]
+        assert back == self._trace()
 
     @pytest.mark.parametrize("line, match", [
         ("1 . 0 1 0.5\n", "malformed trace line"),
@@ -1098,11 +1109,11 @@ class TestRunTrace:
         write_trace(back, buf)
         assert buf.getvalue() == f"1 . 0 1 {text} {text}\n"
 
-    def test_validate_catches_depth_cap(self):
-        tr = RunTrace(depth_cap=0)
-        tr.append(((1, 1),), 2, 0.1, 2.0)
-        with pytest.raises(ValueError):
-            tr.validate()
+    @pytest.mark.parametrize("text", ["2 . 0 1 0.5 2.0\n",
+                                      "1 . 0 1 0.5 2.0\n1 . 0 1 0.5 2.0\n"])
+    def test_iteration_indices_out_of_sequence_rejected(self, text):
+        with pytest.raises(ValueError, match="iteration indices"):
+            read_trace(io.StringIO(text))
 
 
 @st.composite

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from treelab.core import Minibatch, RunTrace
+from treelab.core import Minibatch, TraceEntry
 from treelab.exhaustive import (ConcentrationConfig, check_shallow_splits,
                                 check_telescoping, empirical_concentration,
                                 evaluate_tree_reference, exact_size_expectation,
@@ -37,10 +37,7 @@ class TestTelescoping:
 
 
 def _fake_trace(depths):
-    tr = RunTrace()
-    for dep in depths:
-        tr.append(tuple((i, 1) for i in range(dep)), dep, 0.0, 0.0)
-    return tr
+    return [TraceEntry(tuple((i, 1) for i in range(dep)), dep, 0.0, 0.0) for dep in depths]
 
 
 class TestShallowSplits:

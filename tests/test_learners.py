@@ -36,7 +36,7 @@ class TestTopDownFull:
         ds = full_truth_table_dataset(Dictator(4, 0))
         res = top_down_full(2, ds, GINI)
         assert serialize_tree(res.tree) == "(split 1 (leaf 0) (leaf 1))"
-        assert res.trace.entries[0].gain == 1.0
+        assert res.trace[0].gain == 1.0
 
     def test_complete_tree_memorizes_any_function(self):
         rng = np.random.default_rng(8)
@@ -77,7 +77,7 @@ class TestMiniBatchTopDown:
             tape = RandomnessTape(seed)
             ds = sample_dataset(target, 4096, tape)
             res = minibatch_top_down(2, 64, ds, GINI, tape)
-            wins += int(res.trace.entries[0].coord == 0)
+            wins += int(res.trace[0].coord == 0)
         assert wins >= 49
 
     def test_depth_cap_respected(self):
@@ -86,9 +86,9 @@ class TestMiniBatchTopDown:
         ds = sample_dataset(target, 8192, tape)
         res = minibatch_top_down(16, 32, ds, GINI, tape)
         cap = depth_cap(16)
-        assert all(e.depth <= cap for e in res.trace)
+        assert cap == depth_limit(16) and all(e.depth <= cap for e in res.trace)
+        assert all(e.depth == len(e.path) for e in res.trace)
         assert res.tree.depth <= cap + 1
-        res.trace.validate()
 
     def test_size_is_exactly_min_t_reachable(self):
         from treelab.targets import Majority
@@ -115,10 +115,7 @@ class TestMiniBatchTopDown:
             tape = RandomnessTape(11)
             ds = sample_dataset(target, 4096, tape)
             res = minibatch_top_down(32, 64, ds, GINI, tape)
-            buf = []
-            for e in res.trace:
-                buf.append((e.j, e.path, e.coord, e.gain, e.size_estimate))
-            runs.append((serialize_tree(res.tree), tuple(buf)))
+            runs.append((serialize_tree(res.tree), res.trace))
         assert runs[0] == runs[1]
 
     def test_cached_scores_equal_fresh_recomputation(self):
@@ -408,8 +405,9 @@ class TestTraceDepthCap:
         tape = RandomnessTape(seed)
         for res in (minibatch_top_down(t, b, ds, GINI, tape),
                     top_down_size_estimate(t, b, ds, GINI, tape)):
-            assert res.trace.depth_cap == depth_limit(t)
-            res.trace.validate()
+            assert all(e.depth == len(e.path) <= depth_limit(t) for e in res.trace)
+            assert {e.path: e.coord for e in res.trace} == res.tree.splits
+            assert len(res.trace) == len(res.tree.splits)
 
 
 class TestTopDownSizeEstimate:
@@ -442,7 +440,7 @@ class TestTopDownSizeEstimate:
         res = top_down_size_estimate(32, 64, ds, GINI, tape)
         strands = tape.uniform_masks(10, 64, "strands")
         final_partial_estimate = estimate_size(res.tree, strands)
-        assert res.trace.entries[-1].size_estimate == final_partial_estimate
+        assert res.trace[-1].size_estimate == final_partial_estimate
         g, estimate = grown_state("size-estimate", 32, 64, ds, tape)
         assert estimate == res.size_estimate and (estimate >= 32 or not g.frontier)
 

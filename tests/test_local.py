@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ import treelab.core
 import treelab.learners
 from conftest import grown_state, monotone_target
 from treelab.core import (LabeledDataset, LabelOracle, Point, RandomnessTape,
-                          path_constraint)
+                          path_constraint, read_trace, write_trace)
 from treelab.estimator import estimate_error
 from treelab.exhaustive import exact_size_expectation
 from treelab.impurity import GINI, depth_cap, depth_limit
@@ -150,7 +152,7 @@ class TestLocalLearner:
         walked = set()
         for m in tape.uniform_masks(12, 50, "probe"):
             session.predict(int(m))
-            walked.update((path, coord) for path, coord, _ in session.last_trace)
+            walked.update((e.path, e.coord) for e in session.last_trace)
         assert walked
         for path, coord in walked:
             assert glob.tree.splits[path] == coord
@@ -164,12 +166,8 @@ class TestLocalLearner:
         x_mask = 123
         session.predict(x_mask)
         pool = list(session.strand_masks) + [x_mask]
-        expected = [
-            (e.path, e.coord) for e in glob.trace
-            if any(point_reaches(int(m), e.path) for m in pool)
-        ]
-        got = [(path, coord) for path, coord, _ in session.last_trace]
-        assert got == expected
+        expected = [e for e in glob.trace if any(point_reaches(int(m), e.path) for m in pool)]
+        assert session.last_trace == expected
 
     def test_each_leaf_is_fetched_once(self, monkeypatch):
         target, tape, labeled, oracle = _setup(6)
@@ -273,8 +271,7 @@ class TestForestWalk:
         oracle = LabelOracle(target, labeled.unlabeled())
         glob = top_down_size_estimate(t, b, labeled, GINI, tape)
         session = LocalLearnerSession(t, b, labeled.unlabeled(), oracle, GINI, tape)
-        steps = [(e.path, e.coord, e.size_estimate) for e in glob.trace]
-        masks = [path_constraint(path) for path, _, _ in steps]
+        masks = [path_constraint(e.path) for e in glob.trace]
         on_strand = [bool(np.any((session.strand_masks & np.uint64(m)) == np.uint64(v)))
                      for m, v in masks]
         xs = tape.uniform_masks(d, 20, "probe")
@@ -283,9 +280,13 @@ class TestForestWalk:
             x = int(x)
             assert session.predict(x) == want
             assert session.last_trace == [
-                step for step, (m, v), strand in zip(steps, masks, on_strand)
+                e for e, (m, v), strand in zip(glob.trace, masks, on_strand)
                 if strand or (x & m) == v]
-            walked.update((path, coord) for path, coord, _ in session.last_trace)
+            text = io.StringIO()
+            write_trace(session.last_trace, text)
+            text.seek(0)
+            assert read_trace(text) == session.last_trace
+            walked.update((e.path, e.coord) for e in session.last_trace)
         assert walked == {(p, glob.tree.splits[p]) for p, _ in walked}
 
     def test_forest_grows_once_per_session(self, monkeypatch):
@@ -349,7 +350,7 @@ def test_session_scans_n_per_level(points_scanned, seed, t):
     walked = set()
     for x in tape.uniform_masks(12, 50, "probe"):
         session.predict(int(x))
-        walked.update((path, coord) for path, coord, _ in session.last_trace)
+        walked.update((e.path, e.coord) for e in session.last_trace)
     assert len(walked) > t // 2
     assert points_scanned[0] <= ds.n * (2 * depth_limit(t) + 3)
 
