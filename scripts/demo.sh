@@ -21,7 +21,8 @@ treelab train --algo full        --t 32 --data "$OUT/train.txt" --out-tree "$OUT
 treelab train --algo minibatch   --t 32 --b 64 --seed 7 --data "$OUT/train.txt" \
     --out-tree "$OUT/mb.tree" --out-trace "$OUT/mb.trace"
 treelab train --algo size-estimate --t 32 --b 64 --seed 7 --data "$OUT/train.txt" \
-    --out-tree "$OUT/se.tree" --theory
+    --out-tree "$OUT/se.tree"
+treelab theory --t 32 --d 10
 
 echo "== label one point with few queries"
 treelab local-predict --t 32 --b 64 --seed 7 --unlabeled "$OUT/train_u.txt" \

@@ -1,10 +1,11 @@
 """Command-line surface: data generation, training, local prediction,
-learnability estimation, size estimation, self-verification, and TSV sweep
-emission.
+learnability estimation, size estimation, self-verification, TSV sweep
+emission, and the theory calculator's recommended run parameters.
 
-Config precedence is flags > config file (`key = value` lines) > defaults.
-Seeds default to 0, never to entropy.  Human output rounds to 6 decimal
-places; --machine switches to full-precision repr.
+Each subcommand declares only the options it reads.  Config precedence is
+flags > config file (`key = value` lines) > defaults.  Seeds default to 0,
+never to entropy.  Human output rounds to 6 decimal places; --machine, on the
+subcommands that print floats, switches to full-precision repr.
 """
 
 from __future__ import annotations
@@ -53,17 +54,6 @@ def _read(path: str, labeled: bool = False):
     return ds
 
 
-def _print_theory(args, d: int, file=None) -> None:
-    params = TheoryParams(s=args.s, t=args.t, eps=args.eps, delta=args.delta,
-                          eta=args.eta, d=d,
-                          slack_b=args.slack_b, slack_n=args.slack_n,
-                          slack_b_local=args.slack_local)
-    rec = recommended_params(params, get_impurity(args.impurity))
-    print(f"theory: D={rec.D} b={rec.b} b_min={rec.b_min} b_local={rec.b_local} "
-          f"n={rec.n} m={rec.m} delta_gain={_fmt(rec.delta_gain, args.machine)}",
-          file=file)
-
-
 def _estimate(t, b, ds, target, test, impurity, tape):
     """The estimator's report and its session, whose global_size() is t'."""
     session = LocalLearnerSession(t, b, ds, LabelOracle(target, ds), impurity, tape)
@@ -108,8 +98,6 @@ def cmd_train(args) -> int:
     if result.size_estimate is not None:
         line += f" e={_fmt(result.size_estimate, args.machine)}"
     print(line)
-    if args.theory:
-        _print_theory(args, ds.d)
     return 0
 
 
@@ -124,8 +112,6 @@ def cmd_local_predict(args) -> int:
     if args.report_queries:
         line += f" unique_labels={oracle.query_count} batches={oracle.batches_drawn}"
     print(line)
-    if args.theory:
-        _print_theory(args, ds.d)
     return 0
 
 
@@ -137,8 +123,7 @@ def cmd_estimate(args) -> int:
                                 get_impurity(args.impurity), RandomnessTape(args.seed))
     # Checked before t' reveals labels; an over-budget run prints its line too.
     try:
-        budget = (query_budget_report(session.oracle, args.t, args.b, test.n)
-                  if args.budget_report else None)
+        budget = query_budget_report(session.oracle, args.t, args.b, test.n)
     finally:
         t_prime = session.global_size()
         print(f"error={_fmt(report.error, args.machine)} "
@@ -148,15 +133,13 @@ def cmd_estimate(args) -> int:
     labels, bound = session.oracle.query_count, min(ds.n, args.b * (2 * t_prime - 1))
     if labels > bound:
         raise BudgetError(f"unique labels {labels} exceed budget min(n, b(2t'-1)) = {bound}")
-    if budget is not None:
+    if args.budget_report:
         with open(args.budget_report, "w", encoding="utf-8") as fh:
             json.dump({"unique_labels": budget.unique_labels,
                        "batches_drawn": budget.batches_drawn,
                        "bound": budget.bound,
                        "phases": budget.phase_counts}, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    if args.theory:
-        _print_theory(args, ds.d)
     return 0
 
 
@@ -246,8 +229,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.theory:
-        _print_theory(args, args.d, file=sys.stderr)  # keep stdout a clean table
     values = [int(v) for v in args.values.split(",")]
     target = parse_target(args.target, args.d)
     impurity = get_impurity(args.impurity)
@@ -270,6 +251,15 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def cmd_theory(args) -> int:
+    params = TheoryParams(s=args.s, t=args.t, eps=args.eps, delta=args.delta,
+                          eta=args.eta, d=args.d)
+    rec = recommended_params(params, get_impurity(args.impurity))
+    print(f"theory: D={rec.D} b={rec.b} b_min={rec.b_min} b_local={rec.b_local} "
+          f"n={rec.n} m={rec.m} delta_gain={_fmt(rec.delta_gain, args.machine)}")
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # Parser plumbing
 # ---------------------------------------------------------------------------
@@ -284,7 +274,7 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
     options = {}
 
-    def sub(name, func, help, learner=False, t=None):
+    def sub(name, func, help, seed=True, machine=True, learner=False, t=None):
         p = subs.add_parser(name, help=help)
         p.set_defaults(func=func)
         table = options[name] = {}
@@ -293,22 +283,18 @@ def build_parser():
             action = p.add_argument(flag, **kwargs)
             table[action.dest] = (action, required)
 
-        add("--seed", type=int, default=0, help="master seed (default 0)")
-        add("--machine", action="store_true", help="full-precision output")
+        if seed:
+            add("--seed", type=int, default=0, help="master seed (default 0)")
+        if machine:
+            add("--machine", action="store_true", help="full-precision output")
         add("--config", help="file of 'key = value' lines; flags take precedence")
         if learner:
             add("--t", required=t is None, type=int, default=t)
             add("--b", type=int, default=64)
             add("--impurity", default="gini")
-            add("--theory", action="store_true",
-                help="print the resolved parameter recommendations")
-            for flag, default in (("--s", 8), ("--eps", 0.25), ("--delta", 0.1),
-                                  ("--eta", 0.25), ("--slack-b", 1.0),
-                                  ("--slack-n", 1.0), ("--slack-local", 1.0)):
-                add(flag, type=type(default), default=default)
         return add
 
-    add = sub("gen-data", cmd_gen_data, "sample a dataset from a target")
+    add = sub("gen-data", cmd_gen_data, "sample a dataset from a target", machine=False)
     add("--target", required=True)
     add("--d", required=True, type=int)
     add("--n", required=True, type=int)
@@ -322,7 +308,7 @@ def build_parser():
     add("--out-trace")
 
     add = sub("local-predict", cmd_local_predict, "label one point with few queries",
-              learner=True)
+              machine=False, learner=True)
     add("--unlabeled", required=True)
     add("--target", required=True)
     add("--x", required=True, help="point as a +/- string, e.g. '+-++'")
@@ -341,7 +327,7 @@ def build_parser():
     add("--m", type=int, default=256)
     add("--exact", action="store_true")
 
-    add = sub("verify", cmd_verify, "run the brute-force self checks")
+    add = sub("verify", cmd_verify, "run the brute-force self checks", machine=False)
     add("--trials", type=int, default=100)
 
     add = sub("sweep", cmd_sweep, "emit a TSV table over a parameter sweep",
@@ -354,6 +340,13 @@ def build_parser():
     add("--n", type=int, default=4096)
     add("--test-n", type=int, default=200)
     add("--out")
+
+    add = sub("theory", cmd_theory, "print the recommended run parameters", seed=False)
+    add("--t", required=True, type=int)
+    add("--d", required=True, type=int)
+    add("--impurity", default="gini")
+    for flag, default in (("--s", 8), ("--eps", 0.25), ("--delta", 0.1), ("--eta", 0.25)):
+        add(flag, type=type(default), default=default)
 
     return parser, options
 

@@ -627,6 +627,8 @@ def read_trace(fp: IO[str]) -> List[TraceEntry]:
             raise ValueError(f"trace line {j}: depth field disagrees with path")
         if coord < 1:
             raise ValueError(f"trace line {j}: coordinate {coord} is below 1")
+        if len(path_coords(path) | {coord - 1}) != depth + 1:
+            raise ValueError(f"trace line {j} repeats a coordinate of its path: {line!r}")
         if j != len(trace) + 1:
             raise ValueError(f"iteration indices must be 1..n, got {j} at {len(trace) + 1}")
         trace.append(TraceEntry(path, coord - 1, gain, e))

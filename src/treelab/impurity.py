@@ -234,8 +234,8 @@ def strand_count_for_accuracy(max_leaf_depth: int, accuracy: float,
 
 @dataclass(frozen=True)
 class TheoryParams:
-    """Inputs to the sample-size formulas, plus one slack multiplier per
-    hidden big-Omega constant (all default 1)."""
+    """Inputs to the sample-size formulas, whose hidden big-Omega constants
+    are all taken as 1."""
 
     s: int
     t: int
@@ -243,9 +243,6 @@ class TheoryParams:
     delta: float
     eta: float
     d: int
-    slack_b: float = 1.0
-    slack_n: float = 1.0
-    slack_b_local: float = 1.0
 
     def __post_init__(self):
         if self.s < 2 or self.t < 2 or self.d < 1:
@@ -282,14 +279,13 @@ def recommended_params(params: TheoryParams, impurity: ImpurityFunction) -> Reco
     delta_gain = (kappa / 320.0) * (eps / log_s) ** 2
 
     core = (C * C * log_s ** 4 / (kappa * kappa * eps ** 4)) ** (1.0 / alpha)
-    b = math.ceil(params.slack_b * core * math.log2(t * d / delta))
-    n = math.ceil(params.slack_n * t * core * math.log2(t * d / delta) * log_t)
+    b = math.ceil(core * math.log2(t * d / delta))
+    n = math.ceil(t * core * math.log2(t * d / delta) * log_t)
 
     b_min = math.ceil(max(8.0, 2.0 * (2.0 * C / delta_gain) ** (2.0 / alpha))
                       * math.log(9.0 * t * d / delta))
 
-    b_local = math.ceil(params.slack_b_local * (log_t / eta) ** 2
-                        * math.log2(t / delta))
+    b_local = math.ceil((log_t / eta) ** 2 * math.log2(t / delta))
 
     m = strand_count_for_accuracy(D, eta * t, delta)
 

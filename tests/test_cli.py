@@ -8,6 +8,8 @@ import pytest
 
 from treelab.cli import build_parser, main
 from treelab.core import read_trace, write_trace
+from treelab.estimator import query_budget_report
+from treelab.impurity import ENTROPY, GINI, TheoryParams, recommended_params
 from treelab.targets import Majority, ReadOnceDNF, parse_target
 from treelab.trees import parse_tree
 
@@ -79,14 +81,6 @@ class TestTrain:
         code, _, err = run_cli(capsys, "train", "--t", "8",
                                "--data", str(workdir["unlabeled"]))
         assert code == 1 and "labeled" in err
-
-    def test_theory_line(self, workdir, capsys):
-        code, out, _ = run_cli(
-            capsys, "train", "--t", "16", "--data", str(workdir["labeled"]),
-            "--theory", "--s", "4", "--eps", "0.25")
-        assert code == 0
-        line = [l for l in out.splitlines() if l.startswith("theory:")][0]
-        assert "D=6" in line and "b_min=" in line and "delta_gain=" in line
 
 
 class TestEstimate:
@@ -162,11 +156,23 @@ class TestEstimate:
         assert (code, out) == (1, self.MACHINE_LINE.replace("t_prime=13", "t_prime=1"))
         assert err == "error: unique labels 479 exceed budget min(n, b(2t'-1)) = 32\n"
 
-    def test_theory_line_follows_the_result(self, workdir, capsys):
-        code, out, err = run_cli(capsys, *self._args(workdir, "--machine", "--theory"))
-        lines = out.splitlines(keepends=True)
-        assert (code, err, len(lines)) == (0, "", 2)
-        assert lines[0] == self.MACHINE_LINE and lines[1].startswith("theory: D=")
+    def test_budget_checked_without_a_report_file(self, workdir, capsys, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return query_budget_report(*args)
+
+        monkeypatch.setattr("treelab.cli.query_budget_report", spy)
+        code, out, err = run_cli(capsys, *self._args(workdir, "--machine"))
+        assert (code, out, err, len(calls)) == (0, self.MACHINE_LINE, "", 1)
+
+    def test_over_budget_run_fails_without_a_report_file(self, workdir, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr("treelab.estimator.depth_limit", lambda t: -1)
+        code, out, err = run_cli(capsys, *self._args(workdir, "--machine"))
+        assert (code, out) == (1, self.MACHINE_LINE)
+        assert err == "error: unique labels 479 exceed budget 32\n"
 
     def test_machine_mode_full_precision(self, workdir, capsys):
         _, human, _ = run_cli(capsys, *self._args(workdir))
@@ -192,15 +198,6 @@ class TestLocalPredict:
             capsys, "local-predict", "--t", "16", "--unlabeled",
             str(workdir["unlabeled"]), "--target", workdir["spec"], "--x", "+-")
         assert code == 1 and "--x" in err
-
-    def test_theory_line_follows_the_label(self, workdir, capsys):
-        code, out, err = run_cli(
-            capsys, "local-predict", "--t", "16", "--b", "32", "--seed", "7",
-            "--unlabeled", str(workdir["unlabeled"]), "--target", workdir["spec"],
-            "--x", "+---------", "--theory")
-        lines = out.splitlines()
-        assert (code, err, len(lines)) == (0, "", 2)
-        assert lines[0] == "label=1" and lines[1].startswith("theory: D=")
 
 
 class TestSizeEstimate:
@@ -255,13 +252,6 @@ class TestSweep:
                        "16\t0.32\t158\t7\n16\t0.2\t201\t8\n"
                        "32\t0.3\t351\t9\n32\t0.28\t311\t9\n")
 
-    def test_theory_line_goes_to_stderr(self, capsys):
-        _, table, _ = run_cli(capsys, *self.SWEEP, "--values", "16", "--seeds", "1")
-        code, out, err = run_cli(capsys, *self.SWEEP, "--values", "16", "--seeds", "1",
-                                 "--theory")
-        assert (code, out) == (0, table)
-        assert err.startswith("theory: D=") and err.count("\n") == 1
-
     def test_target_parsed_once_per_sweep(self, capsys, monkeypatch):
         # A tree: target reads its file on every parse.
         parsed = []
@@ -291,6 +281,44 @@ class TestSweep:
         code, out, _ = run_cli(capsys, *self.SWEEP, "--values", "16", "--seeds", "1")
         assert code == 0 and len(out.splitlines()) == 2
         assert sum(evaluated) == 512 + 50
+
+
+class TestTheory:
+    # The line `train --theory` printed for the demo's d = 10, t = 32 run.
+    LINE = ("theory: D=7 b=60362 b_min=43606007295 b_local=3329 n=9657881 m=384 "
+            "delta_gain=0.000174\n")
+
+    def test_theory_line(self, capsys):
+        code, out, err = run_cli(capsys, "theory", "--t", "16", "--d", "10",
+                                 "--s", "4", "--eps", "0.25")
+        assert (code, err, len(out.splitlines())) == (0, "", 1)
+        assert out.startswith("theory: D=6 ") and "b_min=" in out and "delta_gain=" in out
+
+    def test_theory_line_pinned(self, capsys):
+        assert run_cli(capsys, "theory", "--t", "32", "--d", "10") == (0, self.LINE, "")
+
+    def test_theory_line_machine_precision(self, capsys):
+        rec = recommended_params(TheoryParams(s=8, t=32, eps=0.25, delta=0.1, eta=0.25,
+                                              d=10), GINI)
+        code, out, err = run_cli(capsys, "theory", "--t", "32", "--d", "10", "--machine")
+        assert (code, err) == (0, "")
+        assert out == self.LINE.replace("0.000174", repr(rec.delta_gain))
+
+    def test_theory_line_reads_every_knob(self, capsys):
+        rec = recommended_params(TheoryParams(s=16, t=64, eps=0.1, delta=0.05, eta=0.2,
+                                              d=20), ENTROPY)
+        code, out, err = run_cli(capsys, "theory", "--t", "64", "--d", "20",
+                                 "--impurity", "entropy", "--s", "16", "--eps", "0.1",
+                                 "--delta", "0.05", "--eta", "0.2", "--machine")
+        assert (code, err) == (0, "")
+        assert out == (f"theory: D={rec.D} b={rec.b} b_min={rec.b_min} "
+                       f"b_local={rec.b_local} n={rec.n} m={rec.m} "
+                       f"delta_gain={rec.delta_gain!r}\n")
+
+    def test_out_of_range_target_is_an_error(self, capsys):
+        code, out, err = run_cli(capsys, "theory", "--t", "32", "--d", "10", "--eps", "0.7")
+        assert (code, out) == (1, "")
+        assert err == "error: eps must lie in (0, 1/2), got 0.7\n"
 
 
 class TestConfigAndErrors:
@@ -365,22 +393,24 @@ class TestConfigAndErrors:
         assert code == 0 and out.startswith("size=4")
 
     @pytest.mark.parametrize("text, flags", [
-        ("machine = yes\ntheory = off\n", ["--machine"]),
-        ("machine = 0\ntheory = On\n", ["--theory"]),
+        ("machine = yes\nexact = off\n", ["--machine"]),
+        ("machine = 0\nexact = On\n", ["--exact"]),
     ])
-    def test_config_file_sets_on_off_flags(self, workdir, capsys, text, flags):
-        cfg = workdir["tmp"] / "flags.cfg"
+    def test_config_file_sets_on_off_flags(self, tmp_path, capsys, text, flags):
+        tree = tmp_path / "t.tree"
+        tree.write_text("(split 1 (leaf 0) (split 2 (leaf 1) (leaf 0)))\n")
+        cfg = tmp_path / "flags.cfg"
         cfg.write_text(text)
-        argv = ["train", "--t", "8", "--algo", "size-estimate",
-                "--data", str(workdir["labeled"])]
+        argv = ["size-estimate", "--tree", str(tree), "--d", "4", "--m", "64"]
         want = run_cli(capsys, *argv, *flags)
-        assert want[0] == 0
+        assert want[0] == 0 and want != run_cli(capsys, *argv)
         assert run_cli(capsys, *argv, "--config", str(cfg)) == want
 
     @pytest.mark.parametrize("text, key", [
         ("tt = 4\nimpurty = entropy\n", "tt"),
         ("b = 16\nimpurty = entropy\n", "impurty"),
         ("slack-bb = 2\n", "slack_bb"),
+        ("theory = on\n", "theory"),
         ("help = 1\n", "help"),
         ("config = other.cfg\n", "config"),
     ])
@@ -496,11 +526,58 @@ def _surface(parser):
     return repr((commands, options))
 
 
-# Recorded before the parser was rebuilt around one registration helper; any
-# dropped, renamed or re-defaulted option, or a changed help string, shows here.
-SURFACE_SHA256 = "7f37b47813d6c1762db1ead59875207b8c6f7de045e6d94d742c00852c34cfce"
+# Recorded when the theory calculator became its own subcommand and each
+# subcommand kept only the options it reads; any dropped, renamed or
+# re-defaulted option, or a changed help string, shows here.
+SURFACE_SHA256 = "1399eff85da7bca9091b6e7e649c0e28d4011d89276957568ca58ed01a6de88d"
 
 
 def test_cli_surface_pinned():
     parser, _ = build_parser()
     assert hashlib.sha256(_surface(parser).encode()).hexdigest() == SURFACE_SHA256
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records the name of every public attribute read."""
+
+    def __init__(self):
+        super().__init__()
+        self._read = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_every_declared_option_is_read(workdir, capsys):
+    tmp = workdir["tmp"]
+    tree = tmp / "guard.tree"
+    tree.write_text("(split 1 (leaf 0) (leaf 1))\n")
+    learn = ["--t", "4", "--unlabeled", str(workdir["unlabeled"]), "--target", workdir["spec"]]
+    argvs = {
+        "gen-data": ["--target", workdir["spec"], "--d", "10", "--n", "16",
+                     "--out", str(tmp / "guard.txt")],
+        "train": ["--algo", "size-estimate", "--t", "4", "--data", str(workdir["labeled"]),
+                  "--out-tree", str(tmp / "guard-out.tree"),
+                  "--out-trace", str(tmp / "guard.trace")],
+        "local-predict": learn + ["--x", "+---------"],
+        "estimate": learn + ["--test", str(workdir["test"])],
+        "size-estimate": ["--tree", str(tree), "--d", "10"],
+        "verify": ["--trials", "2"],
+        "sweep": ["--vary", "b", "--values", "8", "--seeds", "1", "--target", "majority",
+                  "--d", "5", "--n", "64", "--test-n", "10"],
+        "theory": ["--t", "32", "--d", "10"],
+    }
+    parser, options = build_parser()
+    assert set(argvs) == set(options)
+    unread = {}
+    for command, argv in argvs.items():
+        args = parser.parse_args([command] + argv, namespace=_ReadRecorder())
+        args._read.clear()
+        assert args.func(args) == 0, command
+        missed = sorted(set(options[command]) - {"config"} - args._read)
+        if missed:
+            unread[command] = missed
+    capsys.readouterr()
+    assert unread == {}

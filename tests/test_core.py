@@ -1109,6 +1109,14 @@ class TestRunTrace:
         write_trace(back, buf)
         assert buf.getvalue() == f"1 . 0 1 {text} {text}\n"
 
+    @pytest.mark.parametrize("line", ["1 1+1- 2 1 0.5 2.0\n", "1 1+ 1 1 0.5 2.0\n"],
+                             ids=["path", "split"])
+    def test_repeated_coordinates_rejected(self, line):
+        # No run splits a leaf on a coordinate its path already fixes.
+        with pytest.raises(ValueError, match="repeats a coordinate") as err:
+            read_trace(io.StringIO(line))
+        assert repr(line) in str(err.value)
+
     @pytest.mark.parametrize("text", ["2 . 0 1 0.5 2.0\n",
                                       "1 . 0 1 0.5 2.0\n1 . 0 1 0.5 2.0\n"])
     def test_iteration_indices_out_of_sequence_rejected(self, text):

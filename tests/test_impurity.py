@@ -352,12 +352,6 @@ class TestRecommendedParams:
         rec = recommended_params(self._params(), GINI)
         assert rec.b_min >= math.ceil(8 * math.log(9 * 32 * 12 / 0.1))
 
-    def test_slack_scales_up(self):
-        lo = recommended_params(self._params(), GINI)
-        hi = recommended_params(self._params(slack_b=4.0, slack_n=2.0), GINI)
-        assert hi.b > lo.b and hi.n > lo.n
-        assert hi.D == lo.D
-
     def test_validation(self):
         with pytest.raises(ValueError):
             TheoryParams(s=1, t=32, eps=0.25, delta=0.1, eta=0.25, d=12)
