@@ -541,24 +541,18 @@ def draw_minibatch(
 class LabelOracle:
     """Meters label queries against an unlabeled dataset of n points.
 
-    Labels are produced by `target.eval_masks` and cached per dataset index:
-    repeated queries for an index are free, so query_count equals the number
-    of distinct revealed indices and never decreases.
+    Labels are evaluated on first reveal and cached per dataset index, so
+    query_count, the distinct indices revealed, is also the number of points
+    `target.eval_masks` evaluated.  A request that raises counts nothing.
     """
 
     def __init__(self, target, dataset: UnlabeledDataset):
         if target.d != dataset.d:
             raise ValueError(f"target dimension {target.d} != dataset dimension {dataset.d}")
-        self.n = dataset.n
-        self._labels = np.empty(dataset.n, np.uint8)
-        for lo in range(0, dataset.n, BLOCK_ROWS):
-            block = dataset.masks[lo:lo + BLOCK_ROWS]
-            self._labels[lo:lo + BLOCK_ROWS] = as_labels(target.eval_masks(block), len(block))
-        self._revealed = np.zeros(dataset.n, dtype=bool)
-        self.query_count = 0
-        self.batches_drawn = 0
-        self.phase = "default"
-        self.phase_counts: dict = {}
+        self.target, self.masks, self.n = target, dataset.masks, dataset.n
+        self._labels = np.full(dataset.n, 2, np.uint8)  # 2: not revealed yet
+        self.query_count = self.batches_drawn = 0
+        self.phase, self.phase_counts = "default", {}
 
     def set_phase(self, name: str) -> None:
         self.phase = name
@@ -570,13 +564,13 @@ class LabelOracle:
                              or not 0 <= indices.min() <= indices.max() < n):
             raise ValueError(f"label indices must be integers in [0, {n})")
         indices = indices.astype(np.int64, copy=False)
+        new = np.sort(indices[self._labels[indices] == 2])
+        if len(new):
+            new = new[np.concatenate(([True], new[1:] != new[:-1]))]  # distinct
+            self._labels[new] = as_labels(self.target.eval_masks(self.masks[new]), len(new))
+            self.query_count += len(new)
+            self.phase_counts[self.phase] = self.phase_counts.get(self.phase, 0) + len(new)
         self.batches_drawn += 1
-        new = np.sort(indices[~self._revealed[indices]])
-        fresh = int(np.count_nonzero(np.diff(new, prepend=-1)))
-        if fresh:
-            self._revealed[indices] = True
-            self.query_count += fresh
-            self.phase_counts[self.phase] = self.phase_counts.get(self.phase, 0) + fresh
         return self._labels[indices]
 
 

@@ -156,15 +156,18 @@ def leaf_source(dataset: AnyDataset, impurity: ImpurityFunction, b: int,
                 tape: Optional[RandomnessTape], oracle: Optional[LabelOracle] = None):
     """record(path) scoring each leaf on its path-keyed minibatch of size b
     (every consistent point when at most b are), labeled by the dataset's
-    rows, or by an `oracle` over its n points, per dataset index, from pools
+    rows, or by an `oracle` over its points, per dataset index, from pools
     over the dataset's unlabeled view (see LeafPools).  A record keeps no
     batch, so the rows live only in the pools."""
     if oracle is None and not isinstance(dataset, LabeledDataset):
         raise ValueError("learner needs a labeled dataset or a label oracle")
-    if oracle is not None and oracle.n != dataset.n:
-        raise ValueError(f"label oracle over {oracle.n} points, dataset of {dataset.n}")
-    if oracle is not None and isinstance(dataset, LabeledDataset):
-        dataset = dataset.unlabeled()
+    if oracle is not None:
+        if oracle.n != dataset.n:
+            raise ValueError(f"label oracle over {oracle.n} points, dataset of {dataset.n}")
+        if not (oracle.masks is dataset.masks or np.array_equal(oracle.masks, dataset.masks)):
+            raise ValueError("label oracle over other points than the dataset's")
+        if isinstance(dataset, LabeledDataset):
+            dataset = dataset.unlabeled()
     pools = LeafPools(dataset, b)
 
     def record(path: LeafPath) -> LeafRecord:

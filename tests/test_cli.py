@@ -7,7 +7,7 @@ import statistics
 import pytest
 
 from treelab.cli import build_parser, main
-from treelab.core import read_trace, write_trace
+from treelab.core import LabelOracle, read_trace, write_trace
 from treelab.estimator import query_budget_report
 from treelab.impurity import ENTROPY, GINI, TheoryParams, recommended_params
 from treelab.targets import Majority, ReadOnceDNF, parse_target
@@ -265,11 +265,11 @@ class TestSweep:
         assert code == 0 and len(out.splitlines()) == 1 + 2 * 2
         assert parsed == ["majority"]
 
-    def test_row_evaluates_target_on_n_plus_test_n_points(self, capsys, monkeypatch):
-        # The oracle labels the n training points and the test set is labeled
-        # once; drawing the training set labels none, and t' reads the
-        # oracle's labels.
-        evaluated = []
+    def test_row_evaluates_target_on_revealed_plus_test_points(self, capsys, monkeypatch):
+        # The target labels the test set once, and the oracle evaluates it
+        # only on the points it reveals, t' included; drawing the training
+        # set labels none.
+        evaluated, oracles = [], []
         eval_masks = Majority.eval_masks
 
         def counted(target, masks):
@@ -277,10 +277,19 @@ class TestSweep:
             evaluated.append(len(labels))
             return labels
 
+        class Kept(LabelOracle):
+            def __init__(self, *args):
+                super().__init__(*args)
+                oracles.append(self)
+
         monkeypatch.setattr(Majority, "eval_masks", counted)
+        monkeypatch.setattr("treelab.cli.LabelOracle", Kept)
         code, out, _ = run_cli(capsys, *self.SWEEP, "--values", "16", "--seeds", "1")
         assert code == 0 and len(out.splitlines()) == 2
-        assert sum(evaluated) == 512 + 50
+        (oracle,) = oracles
+        assert evaluated[0] == 50 and sum(evaluated) == oracle.query_count + 50
+        labels, t_prime = map(int, out.split()[-2:])
+        assert 0 < labels <= oracle.query_count <= 16 * (2 * t_prime - 1) < 512
 
 
 class TestTheory:

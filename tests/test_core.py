@@ -984,7 +984,10 @@ class TestLabelOracle:
         oracle.labels_for(np.array([5, 7, 7], dtype))
         assert oracle.query_count == 3
 
-    def test_blocked_labels_equal_target_across_block_edge(self):
+    def test_target_evaluated_on_first_reveal_only(self):
+        # Building the oracle evaluates nothing; a request evaluates each of
+        # its indices not revealed before, once, in ascending order, and a
+        # repeat evaluates none.
         n = BLOCK_ROWS + 3
         ds = UnlabeledDataset(20, np.random.default_rng(5).integers(0, 1 << 20, n, np.uint64))
         target = ReadOnceDNF(20, (frozenset({0, 1}), frozenset({2, 3, 4})))
@@ -994,13 +997,22 @@ class TestLabelOracle:
             d = 20
 
             def eval_masks(self, masks):
-                evaluated.append(len(masks))
+                evaluated.append(masks.copy())
                 return target.eval_masks(masks)
 
         oracle = LabelOracle(Counted(), ds)
-        assert sum(evaluated) == n and max(evaluated) <= BLOCK_ROWS
+        assert evaluated == []
+        want = target.eval_masks(ds.masks)
+        got = oracle.labels_for(np.array([n - 1, 7, n - 1]))
+        assert got.tobytes() == want[[n - 1, 7, n - 1]].tobytes()
+        assert [m.tobytes() for m in evaluated] == [ds.masks[[7, n - 1]].tobytes()]
+        evaluated.clear()
         got = oracle.labels_for(np.arange(n))
-        assert got.tobytes() == target.eval_masks(ds.masks).tobytes()
+        assert got.tobytes() == want.tobytes()
+        assert len(evaluated) == 1 and len(evaluated[0]) == n - 2 == oracle.query_count - 2
+        evaluated.clear()
+        assert oracle.labels_for(np.arange(n)).tobytes() == want.tobytes()
+        assert evaluated == [] and oracle.query_count == n and oracle.batches_drawn == 3
 
     def test_target_of_another_dimension_rejected(self):
         with pytest.raises(ValueError, match="target dimension 8 != dataset dimension 4"):

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -8,14 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treelab
+import treelab.cli
 
 from conftest import monotone_target
-from treelab.core import LabeledDataset, LabelOracle, RandomnessTape
+from treelab.core import LabeledDataset, LabelOracle, RandomnessTape, sample_points, write_dataset
 from treelab.estimator import (BudgetError, estimate_error, estimate_learnability,
                                query_budget_report)
 from treelab.impurity import GINI, depth_cap
 from treelab.learners import top_down_size_estimate
-from treelab.local import LocalLearnerSession
+from treelab.local import LocalLearnerSession, local_learner
 from treelab.targets import (parse_target, random_monotone_tree_target, sample_dataset,
                              sample_product_masks)
 from treelab.trees import evaluate_masks
@@ -150,6 +154,63 @@ class TestEstimateLearnability:
         with pytest.raises(ValueError):
             estimate_learnability(32, 64, labeled.unlabeled(), oracle, wrong_d,
                                   GINI, tape)
+
+
+class CountingTarget:
+    """A target that counts the points it is evaluated on."""
+
+    def __init__(self, target):
+        self.target, self.d, self.points = target, target.d, 0
+
+    def eval_masks(self, masks):
+        self.points += len(masks)
+        return self.target.eval_masks(masks)
+
+
+@given(st.integers(0, 2 ** 16), st.integers(5, 12), st.integers(1, 40))
+@settings(max_examples=20, deadline=None)
+def test_target_evaluated_once_per_revealed_label(seed, log2_n, t):
+    # The oracle is honest: it evaluates the target on the labels it reveals
+    # and on nothing else, in the local learner, in the estimator followed by
+    # t' over the same oracle, and in the CLI's estimate.
+    d, b = 10, 16
+    tape, target = RandomnessTape(seed), monotone_target(seed, d=d)
+    points = sample_points(d, 1 << log2_n, tape)
+    test = sample_dataset(target, 30, tape, key="test")
+
+    counting = CountingTarget(target)
+    oracle = LabelOracle(counting, points)
+    local_learner(t, b, points, oracle, int(test.masks[0]), GINI, tape)
+    assert counting.points == oracle.query_count > 0
+
+    counting = CountingTarget(target)
+    oracle = LabelOracle(counting, points)
+    report = estimate_learnability(t, b, points, oracle, test, GINI, tape)
+    assert counting.points == oracle.query_count == report.unique_labels
+    LocalLearnerSession(t, b, points, oracle, GINI, tape).global_size()
+    assert counting.points == oracle.query_count >= report.unique_labels
+
+    counting, oracles = CountingTarget(target), []
+
+    class Kept(LabelOracle):
+        def __init__(self, *args):
+            super().__init__(*args)
+            oracles.append(self)
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        files = {"--unlabeled": points, "--test": test}
+        for flag, ds in files.items():
+            with open(os.path.join(tmp, flag[2:]), "w", encoding="utf-8") as fh:
+                write_dataset(ds, fh)
+        patch.setattr(treelab.cli, "parse_target", lambda spec, dim: counting)
+        patch.setattr(treelab.cli, "LabelOracle", Kept)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            argv = [arg for flag in files for arg in (flag, os.path.join(tmp, flag[2:]))]
+            code = treelab.cli.main(["estimate", *argv, "--target", "counted", "--t", str(t),
+                                     "--b", str(b), "--seed", str(seed)])
+    (oracle,) = oracles
+    assert code == 0 and counting.points == oracle.query_count
+    assert f"unique_labels={report.unique_labels} " in out.getvalue()
 
 
 class TestBudgetReport:

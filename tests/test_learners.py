@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import treelab
 from conftest import full_truth_table_dataset, grown_state, monotone_target
-from treelab.core import (LabeledDataset, LeafPools, Minibatch, RandomnessTape,
-                          UnlabeledDataset, draw_minibatch)
+from treelab.core import (LabeledDataset, LabelOracle, LeafPools, Minibatch, RandomnessTape,
+                          UnlabeledDataset, draw_minibatch, sample_points)
 from treelab.exhaustive import check_shallow_splits
 from treelab.impurity import (GINI, ImpurityFunction, depth_cap, depth_limit,
                               g_impurity)
@@ -212,6 +212,23 @@ class TestArgmaxTieBreaking:
 
 
 class TestLeafSource:
+    def test_oracle_over_other_points_of_the_same_n_rejected(self, monkeypatch):
+        # The oracle evaluates its own points on each reveal, so an oracle
+        # over other points would label the dataset's indices silently wrong.
+        # Its points are compared once per leaf source, not once per record.
+        tape, target = RandomnessTape(2), Dictator(6, 0)
+        ds = sample_points(6, 300, tape)
+        other = sample_points(6, 300, tape, key="other")
+        with pytest.raises(ValueError, match="label oracle over other points than the dataset's"):
+            leaf_source(ds, GINI, 16, tape, LabelOracle(target, other))
+        compared, array_equal = [], np.array_equal
+        monkeypatch.setattr(np, "array_equal", lambda *a: compared.append(1) or array_equal(*a))
+        records = []
+        for points in (ds, UnlabeledDataset(6, ds.masks.copy())):
+            record = leaf_source(ds, GINI, 16, tape, LabelOracle(target, points))
+            records.append([record(path) for path in [(), ((0, 1),), ((0, -1),), ((1, 1),)]])
+        assert records[0] == records[1] and len(compared) == 1
+
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_full_batch_record_is_every_consistent_point(self, seed):

@@ -162,6 +162,11 @@ def test_truth_table_entries_are_labels(bad):
 
 @pytest.mark.parametrize("label", [2, 0.5], ids=repr)
 def test_label_oracle_checks_its_targets_labels(label):
+    # A bad label is caught on its reveal, and nothing is counted or cached,
+    # so the same request raises again.
     target = SimpleNamespace(d=D, eval_masks=lambda masks: np.full(len(masks), label))
-    with pytest.raises(ValueError, match="labels must be 0 or 1"):
-        LabelOracle(target, UnlabeledDataset(D, [3, 5]))
+    oracle = LabelOracle(target, UnlabeledDataset(D, [3, 5]))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            oracle.labels_for(np.array([1, 0]))
+        assert (oracle.query_count, oracle.batches_drawn, oracle.phase_counts) == (0, 0, {})
