@@ -392,26 +392,25 @@ def sample_points(d: int, n: int, tape: RandomnessTape, key: str = "train") -> U
 
 @dataclass
 class Minibatch:
-    """Up to b points consistent with a leaf, drawn without replacement: from
-    a labeled dataset their rows (indices None), from an unlabeled one their
-    indices and masks (labels None); see LeafPools for pools and their validity."""
+    """Up to b points consistent with a leaf, drawn without replacement, as
+    columns of rows: their masks, with their labels from a labeled dataset
+    (indices None) or their dataset indices from an unlabeled one (labels
+    None); see LeafPools for pools and their validity."""
 
     leaf_path: LeafPath
     indices: Optional[np.ndarray]
-    masks: Optional[np.ndarray]
+    masks: np.ndarray
     labels: Optional[np.ndarray] = None
 
     @property
     def size(self) -> int:
-        return len(self.masks if self.indices is None else self.indices)
+        return len(self.masks)
 
 
 def consistent_indices(masks: np.ndarray, path: LeafPath) -> np.ndarray:
     """Ascending positions in `masks` of the points consistent with the leaf
-    path (an arange in the pools' dtype at the root), in one blocked scan."""
+    path, in one blocked scan."""
     m, v = path_constraint(path)
-    if not path:
-        return np.arange(len(masks), dtype=np.int32 if len(masks) < 1 << 31 else np.int64)
     hit = np.empty(len(masks), bool)
     for lo in range(0, len(masks), BLOCK_ROWS):
         np.equal(masks[lo:lo + BLOCK_ROWS] & m, v, out=hit[lo:lo + BLOCK_ROWS])
@@ -420,76 +419,79 @@ def consistent_indices(masks: np.ndarray, path: LeafPath) -> np.ndarray:
 
 class LeafPools:
     """Leaf pools: per requested leaf, the Minibatch of every point reaching
-    it, in dataset order.  Labeled: their rows (masks, labels), the root's
-    the dataset's own; its first split copies them to a buffer in which a
-    child of an intact (never split) segment is served by partitioning that
-    segment in place, a block at a time, stably and minus rows first, and
-    views its [lo, hi) part; other requests scan.  So a labeled pool holds
-    its rows until a child is requested.  Unlabeled: their indices (int32
-    when n < 2^31, else int64), with their masks when at most b, else once
-    the first child's request gathers them for both; a pool filters its kept
-    parent's, else scans, so a tree costs O(n*depth) scanned points.  Only a
-    served non-root leaf's pool is kept, until both children have theirs."""
+    it in ascending dataset order, as rows (mask, label) of a labeled dataset
+    or (mask, dataset index) of an unlabeled one, the index int32 when
+    n < 2^31.  The root's pool is the dataset's own rows (its indices an
+    arange).  A child of an intact (never split) segment is served by
+    partitioning that segment stably, minus rows first, a block at a time,
+    and views its [lo, hi) part of one row buffer: the root's split writes
+    each row straight to its place in it, a later split partitions in
+    place.  Other requests scan.  So a pool is valid until one of its
+    children is requested; the dataset is never written."""
 
-    def __init__(self, dataset: AnyDataset, b: int):
-        self.masks, self.labels, self.b = dataset.masks, getattr(dataset, "labels", None), b
-        self.d = dataset.d
+    def __init__(self, dataset: AnyDataset):
+        self.masks, self.labels = dataset.masks, getattr(dataset, "labels", None)
+        self.d, self._rows, self._segments = dataset.d, None, {}
         self._dtype = np.int32 if dataset.n < 1 << 31 else np.int64
-        self._pools: dict = {}
-        self._served: set = set()
-        self._rows, self._segments = None, {}
 
     def __call__(self, path: LeafPath) -> Minibatch:
         if not all(0 <= c < self.d for c, _ in path):
             raise ValueError(f"path {path} has a coordinate outside [0, {self.d})")
         if len({c for c, _ in path}) < len(path) or not all(s in (-1, 1) for _, s in path):
             raise ValueError(f"path {path} repeats a coordinate or has a sign outside {{-1, 1}}")
-        if self.labels is not None:
-            if not path:
-                self._segments.setdefault((), (0, len(self.masks)))
-                return Minibatch(path, None, self.masks, self.labels)
+        if not path:
+            self._segments.setdefault((), (0, len(self.masks)))
+            masks = self.masks
+            rest = np.arange(len(masks), dtype=self._dtype) if self.labels is None else self.labels
+        else:
             if self._segments.get(path[:-1]):
                 self._split(path[:-1], path[-1][0])
             segment = self._segments.get(path)
-            masks, labels = self._rows if segment else (self.masks, self.labels)
-            at = slice(*segment) if segment else consistent_indices(self.masks, path)
-            return Minibatch(path, None, masks[at], labels[at])
-        parent = self._pools.get(path[:-1])
-        if parent is None:
-            at = consistent_indices(self.masks, path)
-            idx, masks = at.astype(self._dtype, copy=False), self.masks
-        else:
-            if parent.masks is None:
-                parent.masks = self.masks.take(parent.indices)
-            at = consistent_indices(parent.masks, path)
-            idx, masks = parent.indices[at], parent.masks
-        if len(idx) > self.b:
-            masks = None
-        elif len(at) < len(masks):
-            masks = masks[at]
-        pool = Minibatch(path, idx, masks)
-        if path and path not in self._served:
-            self._served.add(path)
-            self._pools[path] = pool
-            (coord, sign), parent_path = path[-1], path[:-1]
-            if parent_path + ((coord, -sign),) in self._served:
-                self._pools.pop(parent_path, None)
-        return pool
+            if segment:
+                masks, rest = (a[slice(*segment)] for a in self._rows)
+            else:
+                at = consistent_indices(self.masks, path)
+                masks = self.masks[at]
+                rest = at.astype(self._dtype) if self.labels is None else self.labels[at]
+        indices, labels = (rest, None) if self.labels is None else (None, rest)
+        return Minibatch(path, indices, masks, labels)
 
     def _split(self, path: LeafPath, coord: int) -> None:
-        self._rows = rows = self._rows or (self.masks.copy(), self.labels.copy())
         (lo, hi), self._segments[path] = self._segments[path], None
-        plus, at = [[a[:0]] for a in rows], lo
-        for start in range(lo, hi, BLOCK_ROWS):
-            stop = min(start + BLOCK_ROWS, hi)
-            up = (rows[0][start:stop] & 1 << coord) != 0
-            down, up = np.flatnonzero(~up), np.flatnonzero(up)
+        rows, bit, at = self._rows, 1 << coord, lo
+        if rows is None:
+            # The root's split, always the first: the minus rows are counted
+            # first, so each row is written straight to its place, one side of
+            # a block at a time, and no rows are held aside.
+            masks, labels = self.masks, self.labels
+            at = hi - sum(np.count_nonzero(masks[i:i + BLOCK_ROWS] & bit)
+                          for i in range(0, hi, BLOCK_ROWS))
+            self._rows = rows = (np.empty_like(masks),
+                                 np.empty(hi, self._dtype if labels is None else labels.dtype))
+            ends = [0, at]
+            for start in range(0, hi, BLOCK_ROWS):
+                up = (masks[start:start + BLOCK_ROWS] & bit) != 0
+                for side in (0, 1):
+                    take = np.flatnonzero(up if side else ~up)
+                    to = slice(ends[side], ends[side] + len(take))
+                    np.take(masks[start:], take, out=rows[0][to])
+                    if labels is None:
+                        np.add(take, start, out=rows[1][to], casting="unsafe")
+                    else:
+                        np.take(labels[start:], take, out=rows[1][to])
+                    ends[side], take = to.stop, None  # one side's positions at a time
+        else:
+            plus = [[a[:0]] for a in rows]
+            for start in range(lo, hi, BLOCK_ROWS):
+                stop = min(start + BLOCK_ROWS, hi)
+                up = (rows[0][start:stop] & bit) != 0
+                down, up = np.flatnonzero(~up), np.flatnonzero(up)
+                for a, kept in zip(rows, plus):
+                    kept.append(a[start:stop].take(up))
+                    a[at:at + len(down)] = a[start:stop].take(down)
+                at += len(down)
             for a, kept in zip(rows, plus):
-                kept.append(a[start:stop].take(up))
-                a[at:at + len(down)] = a[start:stop].take(down)
-            at += len(down)
-        for a, kept in zip(rows, plus):
-            np.concatenate(kept, out=a[at:hi])
+                np.concatenate(kept, out=a[at:hi])
         self._segments.update({path + ((coord, -1),): (lo, at), path + ((coord, 1),): (at, hi)})
 
 
@@ -514,23 +516,20 @@ def draw_minibatch(
     pool: Optional[Minibatch] = None,
 ) -> Minibatch:
     """Uniform without-replacement draw of b consistent points: the leaf's
-    whole `pool` (see LeafPools; one scan, with no row buffer, if not given),
-    sharing its arrays and so their validity, when it has at most b, else
-    the first b positions of a Fisher-Yates shuffle of it from the leaf's
-    substream, as rows of a labeled pool or indices of an unlabeled one,
-    their masks then gathered.  A pure function of (dataset points,
-    leaf_path, b, tape.master_seed, domain), so a labeled dataset and its
-    unlabeled view draw alike."""
+    whole `pool` (see LeafPools; if not given, one scan with no row buffer,
+    none at the root), sharing its arrays and so their validity, when it has
+    at most b, else the rows at the first b positions of a Fisher-Yates
+    shuffle of it from the leaf's substream, taken from each column.  A pure
+    function of (dataset points, leaf_path, b, tape.master_seed, domain), so
+    a labeled dataset and its unlabeled view draw alike."""
     if b < 1:
         raise ValueError(f"batch size must be >= 1, got {b}")
-    pool = LeafPools(dataset, b)(leaf_path) if pool is None else pool
+    pool = LeafPools(dataset)(leaf_path) if pool is None else pool
     if pool.size <= b:
         return Minibatch(leaf_path, pool.indices, pool.masks, pool.labels)
     take = _partial_shuffle_take(tape.substream(domain, encode_path(leaf_path)), pool.size, b)
-    if pool.indices is None:
-        return Minibatch(leaf_path, None, pool.masks[take], pool.labels[take])
-    idx = pool.indices[take]
-    return Minibatch(leaf_path, idx, dataset.masks[idx])
+    return Minibatch(leaf_path, *(None if a is None else a[take]
+                                  for a in (pool.indices, pool.masks, pool.labels)))
 
 
 # ---------------------------------------------------------------------------

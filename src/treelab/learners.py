@@ -155,10 +155,10 @@ class TrainResult:
 def leaf_source(dataset: AnyDataset, impurity: ImpurityFunction, b: int,
                 tape: Optional[RandomnessTape], oracle: Optional[LabelOracle] = None):
     """record(path) scoring each leaf on its path-keyed minibatch of size b
-    (every consistent point when at most b are), labeled by the dataset's
-    rows, or by an `oracle` over its points, per dataset index, from pools
-    over the dataset's unlabeled view (see LeafPools).  A record keeps no
-    batch, so the rows live only in the pools."""
+    (every consistent point when at most b are), drawn from the leaf's pool,
+    a segment of one row buffer (see LeafPools): labeled by the dataset's
+    rows, or by an `oracle` at the rows' dataset indices, the buffer then
+    over the dataset's unlabeled view.  A record keeps no batch."""
     if oracle is None and not isinstance(dataset, LabeledDataset):
         raise ValueError("learner needs a labeled dataset or a label oracle")
     if oracle is not None:
@@ -168,7 +168,7 @@ def leaf_source(dataset: AnyDataset, impurity: ImpurityFunction, b: int,
             raise ValueError("label oracle over other points than the dataset's")
         if isinstance(dataset, LabeledDataset):
             dataset = dataset.unlabeled()
-    pools = LeafPools(dataset, b)
+    pools = LeafPools(dataset)
 
     def record(path: LeafPath) -> LeafRecord:
         batch = draw_minibatch(dataset, path, b, tape, pool=pools(path))

@@ -261,39 +261,38 @@ class TestLeafPools:
     @given(pool_requests(), st.integers(1, 90))
     @settings(max_examples=300, deadline=None)
     def test_pools_equal_a_full_scan(self, case, b):
-        # Pools over the unlabeled view hold the scan's indices; pools over
-        # the labeled dataset, served the same requests, hold those rows.
+        # Pools over the unlabeled view hold the scan's indices and their
+        # masks; pools over the labeled dataset, served the same requests,
+        # hold those rows.
         masks, requests = case
         ds = LabeledDataset(6, masks, masks % np.uint64(3) == 0)
         view = ds.unlabeled()
-        index_pools, row_pools = LeafPools(view, b), LeafPools(ds, b)
+        index_pools, row_pools = LeafPools(view), LeafPools(ds)
         for path in requests:
             pool, rows = index_pools(path), row_pools(path)
             assert pool.indices.tolist() == consistent_indices(masks, path).tolist()
             assert np.all(np.diff(pool.indices) > 0)
             assert pool.indices.dtype == np.int32
-            _pinned_to_indices(rows, ds, pool.indices)
-            # The labeled root's pool is the dataset's arrays; any other
-            # labeled pool views the row buffer or is its own scan, never
-            # the dataset's arrays, which the pools do not write.
-            if not path:
-                assert rows.masks is ds.masks and rows.labels is ds.labels
-            else:
-                buffer = row_pools._rows or (None, None)
-                for got, kept, source in zip((rows.masks, rows.labels), buffer,
-                                             (ds.masks, ds.labels)):
-                    assert got.base is None or got.base is kept
-                    assert not np.shares_memory(got, source)
-            if len(pool.indices) > b:
-                assert pool.masks is None and pool.labels is None
-                continue
-            # An unlabeled pool of at most b points carries its points and
-            # is the batch.
             assert pool.masks.dtype == view.masks.dtype == np.uint32
             assert pool.masks.tolist() == masks[pool.indices].tolist()
             assert pool.labels is None
-            if len(pool.indices) == len(masks):
+            _pinned_to_indices(rows, ds, pool.indices)
+            # The root's pool is the dataset's own masks (and labels); any
+            # other pool of either dataset views its row buffer or is its own
+            # scan, never the dataset's arrays, which the pools do not write.
+            if not path:
                 assert pool.masks is view.masks
+                assert rows.masks is ds.masks and rows.labels is ds.labels
+            else:
+                for pools, got in ((index_pools, (pool.masks, pool.indices)),
+                                   (row_pools, (rows.masks, rows.labels))):
+                    for column, kept in zip(got, pools._rows or (None, None)):
+                        assert column.base is None or column.base is kept
+                        assert not np.shares_memory(column, ds.masks)
+                        assert not np.shares_memory(column, ds.labels)
+            if len(pool.indices) > b:
+                continue
+            # A pool of at most b points is the batch.
             for source, own in ((view, pool), (ds, rows)):
                 batch = draw_minibatch(source, path, b, RandomnessTape(0), pool=own)
                 for got, kept in ((batch.indices, own.indices), (batch.masks, own.masks),
@@ -306,33 +305,22 @@ class TestLeafPools:
                 assert batch is not own and own.labels is own_labels
 
     def test_empty_dataset_and_unreached_leaves(self):
-        pools = LeafPools(UnlabeledDataset(3, np.zeros(0, np.uint64)), 1)
+        pools = LeafPools(UnlabeledDataset(3, np.zeros(0, np.uint64)))
         assert (pools(()).indices.size == pools(((0, 1),)).indices.size
                 == pools(((0, 1), (2, -1))).indices.size == 0)
         masks = np.array([0b00, 0b01, 0b11], np.uint64)
-        pools = LeafPools(UnlabeledDataset(2, masks), 1)
+        pools = LeafPools(UnlabeledDataset(2, masks))
         assert pools(((0, 1),)).indices.tolist() == [1, 2]
         assert pools(((0, 1), (1, -1))).indices.tolist() == [1]
         assert pools(((0, -1), (1, 1))).indices.size == 0
         assert pools(((0, 1), (1, 1))).indices.dtype == np.int32
 
-    def test_parent_masks_gathered_once_for_both_children(self):
+    def test_parent_segment_partitioned_once_for_both_children(self):
+        # Over either dataset, a parent's segment is partitioned once, in
+        # place, for both children, with no scan; the children are its two
+        # halves, and the parent's pool is not kept.
         ds = _dataset(n=500)
         parent_path, b = ((1, -1),), 8
-        pools = LeafPools(ds.unlabeled(), b)
-        parent = pools(parent_path)
-        assert len(parent.indices) > b and parent.masks is None
-        pools(parent_path + ((3, -1),))
-        gathered = parent.masks
-        assert gathered.tobytes() == ds.masks[parent.indices].tobytes()
-        assert parent.labels is None
-        # A labeled parent's segment is partitioned once, in place, for both
-        # children, with no scan; the children are its two halves.
-        row_pools = LeafPools(ds, b)
-        row_pools(())
-        row_parent = row_pools(parent_path)
-        _pinned_to_indices(row_parent, ds, parent.indices)
-        segment = row_parent.masks
         scanned, splits, split = [], [], LeafPools._split
 
         def counted(masks, path):
@@ -343,26 +331,57 @@ class TestLeafPools:
             splits.append((path, coord))
             return split(pools, path, coord)
 
-        dropped = weakref.ref(parent), weakref.ref(row_parent)
-        del parent, row_parent
-        with (mock.patch("treelab.core.consistent_indices", counted),
-              mock.patch.object(LeafPools, "_split", partitioned)):
-            row_minus = row_pools(parent_path + ((3, -1),))
-            plus = pools(parent_path + ((3, 1),))
-            row_plus = row_pools(parent_path + ((3, 1),))
-        assert len(scanned) == 1 and scanned[0] is gathered
-        assert splits == [(parent_path, 3)]
-        assert dropped[0]() is None and dropped[1]() is None
-        assert plus.indices.tolist() == consistent_indices(ds.masks, plus.leaf_path).tolist()
-        _pinned_to_indices(row_plus, ds, plus.indices)
-        minus = consistent_indices(ds.masks, row_minus.leaf_path)
-        _pinned_to_indices(row_minus, ds, minus)
-        assert row_minus.size + row_plus.size == len(segment)
-        for half, at in ((row_minus, 0), (row_plus, row_minus.size)):
-            assert half.masks.base is segment.base is row_pools._rows[0]
-            assert half.labels.base is row_pools._rows[1]
-            start = segment[at:].__array_interface__["data"]
-            assert half.masks.__array_interface__["data"] == start
+        for source in (ds.unlabeled(), ds):
+            pools = LeafPools(source)
+            pools(())
+            parent = pools(parent_path)
+            reach = consistent_indices(ds.masks, parent_path)
+            assert parent.masks.tobytes() == ds.masks[reach].tobytes()
+            segment, dropped = parent.masks, weakref.ref(parent)
+            del parent
+            scanned.clear()
+            splits.clear()
+            with (mock.patch("treelab.core.consistent_indices", counted),
+                  mock.patch.object(LeafPools, "_split", partitioned)):
+                minus = pools(parent_path + ((3, -1),))
+                plus = pools(parent_path + ((3, 1),))
+            assert not scanned and splits == [(parent_path, 3)]
+            assert dropped() is None
+            assert minus.size + plus.size == len(segment) > b
+            for half, at in ((minus, 0), (plus, minus.size)):
+                reach = consistent_indices(ds.masks, half.leaf_path)
+                if source is ds:
+                    _pinned_to_indices(half, ds, reach)
+                    rest = half.labels
+                else:
+                    assert half.indices.tolist() == reach.tolist() and half.labels is None
+                    assert half.masks.tobytes() == ds.masks[reach].tobytes()
+                    rest = half.indices
+                assert half.masks.base is segment.base is pools._rows[0]
+                assert rest.base is pools._rows[1]
+                start = segment[at:].__array_interface__["data"]
+                assert half.masks.__array_interface__["data"] == start
+
+    def test_first_split_holds_no_rows_aside(self):
+        # The root's split writes each row straight to its place in the new
+        # buffer, so serving the root's first child allocates the buffer and
+        # at most 1 MiB more, over either dataset.
+        n, d = 1 << 20, 20
+        masks = RandomnessTape(3).uniform_masks(d, n, "first-split")
+        ds = LabeledDataset(d, masks, masks % 3 == 0)
+        for source, rest in ((ds, np.uint8), (ds.unlabeled(), np.int32)):
+            pools = LeafPools(source)
+            pools(())
+            tracemalloc.start()
+            try:
+                child = pools(((d // 2, -1),))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            buffer = sum(column.nbytes for column in pools._rows)
+            assert buffer == n * (np.dtype(np.uint32).itemsize + np.dtype(rest).itemsize)
+            assert child.masks.base is pools._rows[0]
+            assert peak <= buffer + 2 ** 20
 
     @pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3])
     def test_blocked_scan_equals_brute_force(self, n):
@@ -375,18 +394,18 @@ class TestLeafPools:
 
     def test_root_pool_is_an_arange_not_copied(self):
         ds = _dataset(n=300)
-        root = consistent_indices(ds.masks, ())
-        assert root.dtype == np.int32 and root.tolist() == list(range(300))
-        returned = []
+        scans = []
 
-        def recorded(masks, path):
-            returned.append(consistent_indices(masks, path))
-            return returned[-1]
+        def counted(masks, path):
+            scans.append(path)
+            return consistent_indices(masks, path)
 
-        with mock.patch("treelab.core.consistent_indices", recorded):
-            pool = LeafPools(ds.unlabeled(), 8)(())
-            rows = LeafPools(ds, 8)(())
-        assert pool.indices is returned[0]
+        with mock.patch("treelab.core.consistent_indices", counted):
+            pool = LeafPools(ds.unlabeled())(())
+            rows = LeafPools(ds)(())
+        assert not scans
+        assert pool.indices.dtype == np.int32 and pool.indices.tolist() == list(range(300))
+        assert pool.masks is ds.masks and pool.labels is None
         # The labeled root pool is the dataset's own rows.
         assert rows.indices is None and rows.masks is ds.masks and rows.labels is ds.labels
 
@@ -395,7 +414,7 @@ class TestLeafPools:
     def test_path_coordinate_outside_d_rejected(self, d, coord, tape):
         # d = 20 stores uint32 masks, d = 40 uint64 ones.
         ds = UnlabeledDataset(d, np.arange(64))
-        pools = LeafPools(ds, 8)
+        pools = LeafPools(ds)
         pools(((0, -1),))
         for path in (((coord, 1),), ((0, -1), (coord, 1))):
             with pytest.raises(ValueError, match=rf"outside \[0, {d}\)"):
@@ -412,7 +431,7 @@ class TestLeafPools:
         tape = RandomnessTape(1)
         ds = sample_dataset(ReadOnceDNF(4, (frozenset({0}), frozenset({1, 2}))), 64, tape)
         for view in (ds, ds.unlabeled()):
-            pools = LeafPools(view, 8)
+            pools = LeafPools(view)
             pools(((0, 1),))
             for request in (lambda: draw_minibatch(view, path, 8, tape), lambda: pools(path)):
                 with pytest.raises(ValueError, match="repeats a coordinate or has a sign"):
@@ -424,25 +443,25 @@ class TestLeafPools:
         for b in (1, 16, 500):
             view = ds.unlabeled()
             a = draw_minibatch(view, path, b, tape)
-            c = draw_minibatch(view, path, b, tape, pool=LeafPools(view, b)(path))
+            c = draw_minibatch(view, path, b, tape, pool=LeafPools(view)(path))
             assert a.indices.tolist() == c.indices.tolist()
             assert a.labels is None and c.labels is None
             assert a.masks.tobytes() == c.masks.tobytes()
             _pinned_to_indices(draw_minibatch(ds, path, b, tape), ds, a.indices)
-            _pinned_to_indices(draw_minibatch(ds, path, b, tape, pool=LeafPools(ds, b)(path)),
+            _pinned_to_indices(draw_minibatch(ds, path, b, tape, pool=LeafPools(ds)(path)),
                                ds, a.indices)
 
     @given(pool_requests(), st.integers(1, 90), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_draw_indices_equal_with_and_without_pool(self, case, b, seed):
         # Every draw's indices have the pools' dtype, and a draw given no
-        # pool scans the dataset once, except the labeled root's, which is
-        # the dataset's rows.  The indices are those of the draws on the
-        # unlabeled view, and a labeled draw takes those rows.
+        # pool scans the dataset once, except at the root of either dataset,
+        # whose pool is the dataset's rows.  The indices are those of the
+        # draws on the unlabeled view, and a labeled draw takes those rows.
         masks, requests = case
         ds = LabeledDataset(6, masks, masks % np.uint64(3) == 0)
         view, tape = ds.unlabeled(), RandomnessTape(seed)
-        sources = [(view, LeafPools(view, b)), (ds, LeafPools(ds, b))]
+        sources = [(view, LeafPools(view)), (ds, LeafPools(ds))]
         scans = []
 
         def counted(masks, path):
@@ -455,7 +474,7 @@ class TestLeafPools:
                 pool = pools(path)
                 with mock.patch("treelab.core.consistent_indices", counted):
                     draws.append(draw_minibatch(source, path, b, tape))
-                    once = [] if source is ds and not path else [path]
+                    once = [path] if path else []
                     assert scans == once
                     draws.append(draw_minibatch(source, path, b, tape, pool=pool))
                     assert scans == once
@@ -486,7 +505,7 @@ class TestLabeledDraw:
     def test_labeled_draw_is_the_rows_of_the_unlabeled_draw(self, case):
         ds, path, b, seed, pooled = case
         view = ds.unlabeled()
-        pools = LeafPools(view, b), LeafPools(ds, b)
+        pools = LeafPools(view), LeafPools(ds)
         # The pools of the path's ancestors are requested first, so the
         # leaf's pools are filtered from their parents'.
         for k in range(len(path) + 1):
@@ -538,7 +557,7 @@ class TestRowBuffer:
         ds, b, requests = case
         view, tape = ds.unlabeled(), RandomnessTape(seed)
         before = ds.masks.copy(), ds.labels.copy()
-        pools, live, buffer = LeafPools(ds, b), [], None
+        pools, live, buffer = LeafPools(ds), [], None
         with mock.patch("treelab.core.BLOCK_ROWS", block):
             for path in requests:
                 live = [kept for kept in live if kept[0] != path[:-1]]

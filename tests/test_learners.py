@@ -250,7 +250,7 @@ class TestLeafSource:
                 rec = record(path)
                 # The earlier full-batch record, kept here as the reference;
                 # its indices are those of a pool over the unlabeled view.
-                pool = LeafPools(ds.unlabeled(), ds.n)(path).indices
+                pool = LeafPools(ds.unlabeled())(path).indices
                 old = Minibatch(path, pool, ds.masks[pool], ds.labels[pool])
                 batch = batches[path]
                 assert batch.leaf_path == rec.path == path

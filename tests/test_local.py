@@ -341,8 +341,9 @@ class TestGlobalSize:
 
 @pytest.mark.parametrize("seed, t", [(0, 32), (1, 64), (2, 16)])
 def test_session_scans_n_per_level(points_scanned, seed, t):
-    # Leaf pools are filtered from parent pools, so the forest and all 50
-    # queries together scan at most 2n points per level, not n per leaf.
+    # Leaf pools are segments of one row buffer, partitioned as leaves
+    # split, so the forest and all 50 queries together scan at most 2n
+    # points per level, not n per leaf.
     target = random_truth_table(np.random.default_rng(seed), 12)
     tape = RandomnessTape(seed)
     ds = sample_dataset(target, 4096, tape).unlabeled()
@@ -357,21 +358,21 @@ def test_session_scans_n_per_level(points_scanned, seed, t):
 
 @pytest.mark.parametrize("run", ["full", "minibatch", "size-estimate", "session"])
 def test_only_the_root_and_its_children_scan_the_dataset(monkeypatch, run):
-    # Every deeper leaf's parent pool is still kept when the leaf is first
-    # requested, so its pool filters the parent's, never the dataset's.  Over
-    # a labeled dataset nothing is scanned: the root's split reads the rows
-    # once, into one buffer, and every split partitions its own segment of it.
+    # Nothing is scanned, over a labeled dataset or the session's unlabeled
+    # one: the root's split writes the rows once, into one buffer, and every
+    # split partitions its own segment of it, once.
     target = random_truth_table(np.random.default_rng(5), 12)
     tape = RandomnessTape(5)
     labeled = sample_dataset(target, 4096, tape)
     ds = labeled.unlabeled() if run == "session" else labeled
-    scan, from_dataset, scans = treelab.core.consistent_indices, set(), []
+    if run == "session":
+        # The session splits leaves of the global size-estimate tree.
+        tree = top_down_size_estimate(64, 32, labeled, GINI, tape).tree
+    scan, scans = treelab.core.consistent_indices, []
     split, splits = treelab.core.LeafPools._split, []
 
     def watched(masks, path):
         scans.append(path)
-        if masks is ds.masks:
-            from_dataset.add(path)
         return scan(masks, path)
 
     def partitioned(pools, path, coord):
@@ -385,16 +386,17 @@ def test_only_the_root_and_its_children_scan_the_dataset(monkeypatch, run):
         session = LocalLearnerSession(64, 32, ds, LabelOracle(target, ds), GINI, tape)
         for x in tape.uniform_masks(12, 20, "probe"):
             session.predict(int(x))
-        assert session.global_size() > 32
-        assert () in from_dataset and all(len(path) <= 1 for path in from_dataset)
-        assert any(len(path) == 1 for path in from_dataset) and not splits
-        return
-    learn = {"full": lambda: top_down_full(64, ds, GINI),
-             "minibatch": lambda: minibatch_top_down(64, 32, ds, GINI, tape),
-             "size-estimate": lambda: top_down_size_estimate(64, 32, ds, GINI, tape),
-             }[run]
-    tree = learn().tree
-    assert tree.size > 32 and not scans
+        assert session.global_size() == tree.size > 32
+    else:
+        tree = {"full": lambda: top_down_full(64, ds, GINI),
+                "minibatch": lambda: minibatch_top_down(64, 32, ds, GINI, tape),
+                "size-estimate": lambda: top_down_size_estimate(64, 32, ds, GINI, tape),
+                }[run]().tree
+        assert tree.size > 32
+    assert not scans
     assert splits[0][:2] == ((), (0, ds.n)) and splits[0][2][0] is not ds.masks
     assert all(buffer is splits[0][2] for _, _, buffer in splits)
-    assert sorted(path for path, _, _ in splits) == sorted(tree.splits)
+    paths = [path for path, _, _ in splits]
+    assert len(set(paths)) == len(paths) > 32 and set(paths) <= set(tree.splits)
+    if run != "session":
+        assert sorted(paths) == sorted(tree.splits)

@@ -78,19 +78,19 @@ def test_both_gain_paths_equal_the_uint64_gains(d, k):
         assert got.tobytes() == batch_local_gains(GINI, masks, labels, dd).tobytes()
 
 
-@given(st.sampled_from(DIMS), st.integers(0, 400), st.integers(1, 64), st.integers(0, 2 ** 32))
+@given(st.sampled_from(DIMS), st.integers(0, 400), st.integers(0, 2 ** 32))
 @settings(max_examples=40, deadline=None)
-def test_leaf_pools_and_scans_equal_the_uint64_ones(d, k, b, seed):
+def test_leaf_pools_and_scans_equal_the_uint64_ones(d, k, seed):
     masks = _masks(d, k, seed)
     top, low = d - 1, 0
     paths = [((top, 1),), ((top, 1), (low, -1)), ((top, 1), (low, 1)), ((top, -1),),
              ((top, -1), (d - 2, 1)), ((low, 1),), ((low, 1), (top, 1))]
     labeled = LabeledDataset(d, masks, masks % 5 == 0)
-    narrow = LeafPools(labeled, b)
-    wide = LeafPools(_wide(LabeledDataset(d, masks, masks % 5 == 0)), b)
-    # Pools over the unlabeled views hold indices, and masks up to b points.
-    narrow_view = LeafPools(UnlabeledDataset(d, masks), b)
-    wide_view = LeafPools(_wide(UnlabeledDataset(d, masks)), b)
+    narrow = LeafPools(labeled)
+    wide = LeafPools(_wide(LabeledDataset(d, masks, masks % 5 == 0)))
+    # Pools over the unlabeled views hold indices and masks.
+    narrow_view = LeafPools(UnlabeledDataset(d, masks))
+    wide_view = LeafPools(_wide(UnlabeledDataset(d, masks)))
     for path in paths:
         assert (consistent_indices(narrow.masks, path).tolist()
                 == consistent_indices(masks, path).tolist())
