@@ -507,7 +507,7 @@ class TestLabeledDraw:
         view = ds.unlabeled()
         pools = LeafPools(view), LeafPools(ds)
         # The pools of the path's ancestors are requested first, so the
-        # leaf's pools are filtered from their parents'.
+        # leaf's pools are partitioned from their parents' segments.
         for k in range(len(path) + 1):
             kept = [p(path[:k]) for p in pools]
             assert kept[1].indices is None

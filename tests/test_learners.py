@@ -463,8 +463,8 @@ class TestTopDownSizeEstimate:
 
 
 class TestScanCost:
-    """Each leaf's pool is filtered from its parent's, so a run scans at most
-    2n points per level (each depth-1 leaf scans all n), not n per leaf."""
+    """Each leaf's pool is partitioned from its parent's segment, so a run
+    scans at most 2n points per level, not n per leaf."""
 
     @pytest.mark.parametrize("seed, t", [(0, 16), (1, 64), (2, 128)])
     def test_minibatch_scans_n_per_level(self, points_scanned, seed, t):
